@@ -27,32 +27,23 @@ from .harness import ChannelConfig, monte_carlo, table1_report
 from .stopsets import optimal_enumerators, profile, incorrigible_enumerator
 
 
-def _load_matrix(spec: str) -> BitMatrix:
-    """A matrix argument is a file path or a catalog matrix name."""
+def _load(spec: str, kind: type):
+    """A --matrix or --code argument: a parity-check file or a catalog name.
+
+    Returns a ``kind`` (BitMatrix or LinearCode): a code stands for its
+    parity-check basis, a matrix for the code it defines.
+    """
     path = Path(spec)
     if path.is_file():
-        return parse_matrix(path.read_text())
-    try:
-        obj = catalog(spec)
-    except ValueError:
-        raise ValueError(f"{spec!r} is neither a readable file nor a catalog name")
-    if isinstance(obj, BitMatrix):
+        obj = parse_matrix(path.read_text())
+    else:
+        try:
+            obj = catalog(spec)
+        except ValueError:
+            raise ValueError(f"{spec!r} is neither a readable file nor a catalog name")
+    if isinstance(obj, kind):
         return obj
-    return obj.parity_basis
-
-
-def _load_code(spec: str) -> LinearCode:
-    """A code argument is a parity-check file or a catalog name."""
-    path = Path(spec)
-    if path.is_file():
-        return LinearCode.from_parity_check(parse_matrix(path.read_text()))
-    try:
-        obj = catalog(spec)
-    except ValueError:
-        raise ValueError(f"{spec!r} is neither a readable file nor a catalog name")
-    if isinstance(obj, BitMatrix):
-        return LinearCode.from_parity_check(obj)
-    return obj
+    return obj.parity_basis if kind is BitMatrix else LinearCode.from_parity_check(obj)
 
 
 def _emit(obj: dict, pretty_text: Optional[str], pretty: bool) -> None:
@@ -70,7 +61,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     out: dict = {}
     lines = []
     if args.matrix:
-        h = _load_matrix(args.matrix)
+        h = _load(args.matrix, BitMatrix)
         p = profile(h)
         out["matrix"] = {
             "rows": h.r,
@@ -85,7 +76,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"s    = {p.stopping_distance}",
         ]
     if args.code:
-        code = _load_code(args.code)
+        code = _load(args.code, LinearCode)
         a = code.weight_enumerator
         i = incorrigible_enumerator(code)
         out["code"] = {
@@ -113,10 +104,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    h = _load_matrix(args.matrix)
+    h = _load(args.matrix, BitMatrix)
     word = ReceivedWord.from_string(args.word)
     if args.optimal:
-        code = _load_code(args.code) if args.code else LinearCode.from_parity_check(h)
+        code = _load(args.code, LinearCode) if args.code else LinearCode.from_parity_check(h)
         outcome = optimal_decode(code, word)
     else:
         outcome = iterative_decode(h, word)
@@ -131,8 +122,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    h = _load_matrix(args.matrix)
+    code = _load(args.code, LinearCode)
+    h = _load(args.matrix, BitMatrix)
     cfg = ChannelConfig(epsilon=args.epsilon, trials=args.trials, seed=args.seed)
     rep = monte_carlo(code, h, cfg)
     lines = [
@@ -155,7 +146,7 @@ def _matrix_payload(h: BitMatrix) -> dict:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
+    code = _load(args.code, LinearCode)
     if args.mode == "complete":
         h = construct_mod.complete_matrix(code)
         out = _matrix_payload(h)

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, null_space_basis, parse_matrix, row_space_iter, rref
+from .gf2 import BitMatrix, _gray_iter, null_space_basis, parse_matrix, row_space_iter, rref
 
 WEIGHT_ENUM_LIMIT = 28  # enumerating 2**k codewords
 _DOUBLING_BITS = 20  # per-chunk codeword array size for counting
@@ -61,26 +61,20 @@ class Enumerator:
         }
 
 
-def _gray_iter(basis_rows: Sequence[int]) -> Iterator[int]:
-    """All GF(2) combinations of independent rows, Gray-code order."""
-    v = 0
-    yield v
-    for c in range(1, 1 << len(basis_rows)):
-        v ^= basis_rows[(c & -c).bit_length() - 1]
-        yield v
+def _span_array(rows: Sequence[int], dtype) -> np.ndarray:
+    """All 2**len(rows) GF(2) combinations of the rows, by repeated doubling."""
+    span = np.zeros(1, dtype=dtype)
+    for row in rows:
+        span = np.concatenate([span, span ^ dtype(row)])
+    return span
 
 
 def _span_weight_counts(basis_rows: Sequence[int], n: int) -> list[int]:
     """Weight histogram of the 2**len(basis_rows) span elements."""
-    k = len(basis_rows)
+    block = _span_array(basis_rows[:_DOUBLING_BITS], np.uint64)
     counts = np.zeros(n + 1, dtype=np.int64)
-    low = basis_rows[: min(k, _DOUBLING_BITS)]
-    block = np.zeros(1, dtype=np.uint64)
-    for b in low:
-        block = np.concatenate([block, block ^ np.uint64(b)])
-    for prefix in _gray_iter(basis_rows[len(low):]):
-        words = block ^ np.uint64(prefix)
-        counts += np.bincount(np.bitwise_count(words), minlength=n + 1).astype(np.int64)
+    for prefix in _gray_iter(basis_rows[_DOUBLING_BITS:]):
+        counts += np.bincount(np.bitwise_count(block ^ np.uint64(prefix)), minlength=n + 1)
     return [int(c) for c in counts]
 
 

@@ -10,7 +10,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_BITS = 64  # desk-scale cap on both dimensions
 ROW_SPACE_RANK_LIMIT = 24  # row_space_iter yields 2**rank vectors
@@ -187,12 +187,8 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
     return rref(BitMatrix(tuple(basis), m.n))[0]
 
 
-def select_columns(m: BitMatrix, subset: int | Iterable[int]) -> BitMatrix:
-    """Submatrix of the columns in ``subset``, ascending, row order kept."""
-    mask = as_mask(subset)
-    if mask >> m.n:
-        raise IndexError(f"column index beyond matrix length {m.n}")
-    cols = indices_from_mask(mask)
+def _pack_columns(m: BitMatrix, cols: Sequence[int]) -> tuple[int, ...]:
+    """Rows of M rebuilt from the given 1-based columns, in that order."""
     rows = []
     for v in m.rows:
         packed = 0
@@ -200,7 +196,16 @@ def select_columns(m: BitMatrix, subset: int | Iterable[int]) -> BitMatrix:
             if v & (1 << (j - 1)):
                 packed |= 1 << new_pos
         rows.append(packed)
-    return BitMatrix(tuple(rows), len(cols))
+    return tuple(rows)
+
+
+def select_columns(m: BitMatrix, subset: int | Iterable[int]) -> BitMatrix:
+    """Submatrix of the columns in ``subset``, ascending, row order kept."""
+    mask = as_mask(subset)
+    if mask >> m.n:
+        raise IndexError(f"column index beyond matrix length {m.n}")
+    cols = indices_from_mask(mask)
+    return BitMatrix(_pack_columns(m, cols), len(cols))
 
 
 def permute_columns(m: BitMatrix, perm: Iterable[int]) -> BitMatrix:
@@ -208,14 +213,7 @@ def permute_columns(m: BitMatrix, perm: Iterable[int]) -> BitMatrix:
     order = tuple(perm)
     if sorted(order) != list(range(1, m.n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    rows = []
-    for v in m.rows:
-        packed = 0
-        for new_pos, j in enumerate(order):
-            if v & (1 << (j - 1)):
-                packed |= 1 << new_pos
-        rows.append(packed)
-    return BitMatrix(tuple(rows), m.n)
+    return BitMatrix(_pack_columns(m, order), m.n)
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
@@ -252,6 +250,16 @@ def solve(m: BitMatrix, b: int) -> Optional[tuple[int, BitMatrix]]:
     return x, null_space_basis(m)
 
 
+def _gray_iter(basis_rows: Sequence[int]) -> Iterator[int]:
+    """All GF(2) combinations of independent rows, Gray-code order."""
+    v = 0
+    yield v
+    for c in range(1, 1 << len(basis_rows)):
+        # Gray code flips bit index of the lowest set bit of c.
+        v ^= basis_rows[(c & -c).bit_length() - 1]
+        yield v
+
+
 def row_space_iter(m: BitMatrix) -> Iterator[int]:
     """Yield all 2**rank(M) row-space elements exactly once.
 
@@ -262,12 +270,7 @@ def row_space_iter(m: BitMatrix) -> Iterator[int]:
     t = len(basis)
     if t > ROW_SPACE_RANK_LIMIT:
         raise ValueError(f"rank {t} exceeds row-space iteration limit {ROW_SPACE_RANK_LIMIT}")
-    v = 0
-    yield v
-    for c in range(1, 1 << t):
-        # Gray code flips bit index of the lowest set bit of c.
-        v ^= basis[(c & -c).bit_length() - 1]
-        yield v
+    yield from _gray_iter(basis)
 
 
 def in_row_space(v: int, m: BitMatrix) -> bool:

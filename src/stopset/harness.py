@@ -44,6 +44,8 @@ class ChannelConfig:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 def analytic_pud(e: Enumerator, epsilon: float, n: Optional[int] = None) -> float:

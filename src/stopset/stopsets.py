@@ -1,27 +1,29 @@
 """Stopping sets, dead-end sets, incorrigible sets and their enumerators.
 
 Stopping and dead-end sets are properties of a parity-check matrix;
-incorrigible sets are properties of the code alone.  Enumerators count
-these sets by size with exact integers.  Full-subset enumeration is
-capped at n <= 28 by default (override with the STOPSET_MAX_N env var).
+incorrigible sets are properties of the code alone.  All five
+enumerators count sets over the 2**n erasure subsets with one kernel:
+a bool flag per subset, its upward closure over the subset lattice (an
+OR-zeta transform), and a size histogram.  D(x) is the closure of the
+nonempty stopping sets, since a set's peel closure is the largest
+stopping set inside it; I(x) is the closure of the nonzero codeword
+supports.  Subset enumeration is capped at n <= 28 by default (override
+with the STOPSET_MAX_N env var).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .codes import Enumerator, LinearCode
+from .codes import Enumerator, LinearCode, _span_array
 from .gf2 import BitMatrix, as_mask, rank, select_columns
 
 _DEFAULT_MAX_N = 28
 _CHUNK = 1 << 20
-
-OPTIMAL_MAX_N = 20
-OPTIMAL_MAX_DUAL_DIM = 16
 
 
 def _enumeration_limit() -> int:
@@ -39,28 +41,39 @@ def _mask_dtype(n: int):
     return np.uint32 if n <= 32 else np.uint64
 
 
-def _chunks(n: int) -> Iterable[np.ndarray]:
+def _lattice(n: int, dtype=bool) -> np.ndarray:
+    """A zeroed array indexed by all 2**n subset masks, behind the guard."""
+    _check_enumeration_guard(n)
+    return np.zeros(1 << n, dtype=dtype)
+
+
+def _chunks(n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Consecutive (index slice, subset masks) pieces covering all 2**n masks."""
     dtype = _mask_dtype(n)
     total = 1 << n
     for start in range(0, total, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, total), dtype=dtype)
+        stop = min(start + _CHUNK, total)
+        yield slice(start, stop), np.arange(start, stop, dtype=dtype)
 
 
-def _span_array(rows: tuple[int, ...], dtype) -> np.ndarray:
-    """All GF(2) combinations of the given rows, by repeated doubling."""
-    span = np.zeros(1, dtype=dtype)
-    for row in rows:
-        span = np.concatenate([span, span ^ dtype(row)])
-    return span
+def _upward_closure(g: np.ndarray, n: int) -> np.ndarray:
+    """In place, g[m] becomes the OR of g[s] over all subsets s of m.
 
-
-def _upward_closure(flags: np.ndarray, n: int) -> np.ndarray:
-    """Mark every superset of a marked subset (subset-lattice OR)."""
-    g = flags.copy()
+    On bool flags this marks every superset of a marked subset; on mask
+    arrays it ORs together the masks stored at the subsets.
+    """
     for j in range(n):
         view = g.reshape(-1, 2, 1 << j)
         view[:, 1, :] |= view[:, 0, :]
     return g
+
+
+def _histogram(flags: np.ndarray, n: int) -> Enumerator:
+    """Number of flagged subsets of each size."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for part, masks in _chunks(n):
+        counts += np.bincount(np.bitwise_count(masks[flags[part]]), minlength=n + 1)
+    return Enumerator(tuple(int(c) for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -108,24 +121,6 @@ def is_incorrigible(code: LinearCode, subset: int | Iterable[int]) -> bool:
     return rank(cols) < cols.n
 
 
-# ---------------------------------------------------------------------------
-# enumerators
-
-def stopping_set_enumerator(h: BitMatrix) -> Enumerator:
-    """S(x): S_i = number of stopping sets of size i for H."""
-    _check_enumeration_guard(h.n)
-    dtype = _mask_dtype(h.n)
-    rows = [dtype(r) for r in h.rows]
-    counts = np.zeros(h.n + 1, dtype=np.int64)
-    for masks in _chunks(h.n):
-        ok = np.ones(masks.shape, dtype=bool)
-        for row in rows:
-            ok &= np.bitwise_count(masks & row) != 1
-        sizes = np.bitwise_count(masks).astype(np.intp)
-        counts += np.bincount(sizes[ok], minlength=h.n + 1)
-    return Enumerator(tuple(int(c) for c in counts))
-
-
 def batch_peel_residuals(h: BitMatrix, masks: np.ndarray) -> np.ndarray:
     """Peel closure of every mask in the array, as one batched fixpoint.
 
@@ -146,46 +141,8 @@ def batch_peel_residuals(h: BitMatrix, masks: np.ndarray) -> np.ndarray:
     return residual
 
 
-def dead_end_enumerator(h: BitMatrix) -> Enumerator:
-    """D(x): D_i = number of size-i sets whose peel closure is nonempty.
-
-    Computed by running the peeling fixpoint on every subset at once.
-    """
-    _check_enumeration_guard(h.n)
-    counts = np.zeros(h.n + 1, dtype=np.int64)
-    for masks in _chunks(h.n):
-        dead = batch_peel_residuals(h, masks) != 0
-        sizes = np.bitwise_count(masks).astype(np.intp)
-        counts += np.bincount(sizes[dead], minlength=h.n + 1)
-    return Enumerator(tuple(int(c) for c in counts))
-
-
-def incorrigible_enumerator(code: LinearCode) -> Enumerator:
-    """I(x): I_i = number of size-i sets containing a nonzero-codeword support."""
-    n = code.n
-    _check_enumeration_guard(n)
-    dtype = _mask_dtype(n)
-    supports = _span_array(code.generator_basis.rows, dtype)
-    flags = np.zeros(1 << n, dtype=bool)
-    flags[supports] = True
-    flags[0] = False  # the zero codeword does not count
-    incorr = _upward_closure(flags, n)
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=dtype)).astype(np.intp)
-    counts = np.bincount(sizes[incorr], minlength=n + 1)
-    return Enumerator(tuple(int(c) for c in counts))
-
-
-def stopping_distance(h: BitMatrix) -> int:
-    """Smallest size of a nonempty stopping set; n+1 if none exists."""
-    s = stopping_set_enumerator(h)
-    for i in range(1, h.n + 1):
-        if s[i] > 0:
-            return i
-    return h.n + 1
-
-
 # ---------------------------------------------------------------------------
-# complete-matrix (optimal) enumerators
+# enumerators
 
 @dataclass(frozen=True)
 class StoppingProfile:
@@ -200,47 +157,90 @@ class StoppingProfile:
         return self.stopping_distance > self.stopping.n
 
 
+def _stopping_flags(h: BitMatrix) -> np.ndarray:
+    """flags[m] is True iff no row of H meets the subset m exactly once."""
+    rows = [_mask_dtype(h.n)(r) for r in h.rows]
+    flags = _lattice(h.n)
+    for part, masks in _chunks(h.n):
+        ok = flags[part]
+        ok[:] = True
+        for row in rows:
+            ok &= np.bitwise_count(masks & row) != 1
+    return flags
+
+
+def _dead_end(stop_flags: np.ndarray, n: int) -> Enumerator:
+    """D(x) from stopping flags: sets holding a nonempty stopping set.
+
+    Overwrites the flags with their closure.
+    """
+    stop_flags[0] = False
+    return _histogram(_upward_closure(stop_flags, n), n)
+
+
+def _first_nonempty(s: Enumerator) -> int:
+    """Smallest positive size with a nonzero count; n+1 if none."""
+    return next((i for i in range(1, s.n + 1) if s[i] > 0), s.n + 1)
+
+
+def _profile(stop_flags: np.ndarray, n: int) -> StoppingProfile:
+    s_poly = _histogram(stop_flags, n)
+    return StoppingProfile(s_poly, _dead_end(stop_flags, n), _first_nonempty(s_poly))
+
+
+def stopping_set_enumerator(h: BitMatrix) -> Enumerator:
+    """S(x): S_i = number of stopping sets of size i for H."""
+    return _histogram(_stopping_flags(h), h.n)
+
+
+def dead_end_enumerator(h: BitMatrix) -> Enumerator:
+    """D(x): D_i = number of size-i sets whose peel closure is nonempty.
+
+    The peel closure of a set is the largest stopping set inside it, so
+    the dead-end sets are the upward closure of the nonempty stopping
+    sets: one OR-zeta pass over the stopping flags, no peeling.
+    """
+    return _dead_end(_stopping_flags(h), h.n)
+
+
+def incorrigible_enumerator(code: LinearCode) -> Enumerator:
+    """I(x): I_i = number of size-i sets containing a nonzero-codeword support."""
+    n = code.n
+    flags = _lattice(n)
+    flags[_span_array(code.generator_basis.rows, _mask_dtype(n))] = True
+    flags[0] = False  # the zero codeword does not count
+    return _histogram(_upward_closure(flags, n), n)
+
+
+def stopping_distance(h: BitMatrix) -> int:
+    """Smallest size of a nonempty stopping set; n+1 if none exists."""
+    return _first_nonempty(stopping_set_enumerator(h))
+
+
 def profile(h: BitMatrix) -> StoppingProfile:
-    """S(x), D(x) and s for an explicit parity-check matrix."""
-    s_poly = stopping_set_enumerator(h)
-    d_poly = dead_end_enumerator(h)
-    s = next((i for i in range(1, h.n + 1) if s_poly[i] > 0), h.n + 1)
-    return StoppingProfile(s_poly, d_poly, s)
+    """S(x), D(x) and s for an explicit parity-check matrix, from one flag pass."""
+    return _profile(_stopping_flags(h), h.n)
 
 
 def optimal_enumerators(code: LinearCode) -> StoppingProfile:
     """S*(x), D*(x), s*: enumerators of the complete parity-check matrix.
 
-    Scans every subset against all 2**(n-k) dual codewords directly from
-    the definitions; the complete matrix is never materialized.
+    A set is stopping for the complete matrix iff it is the union of the
+    codeword supports it contains.  The union of the supports inside
+    every subset comes from one OR-zeta transform of the 2**k supports,
+    so neither the complete matrix nor its 2**(n-k) rows are ever
+    formed.  D*(x) is the upward closure of the nonempty S* sets, as for
+    D(x).
     """
     n = code.n
-    if n > OPTIMAL_MAX_N:
-        raise ValueError(f"n={n} exceeds optimal-enumerator guard {OPTIMAL_MAX_N}")
-    if n - code.k > OPTIMAL_MAX_DUAL_DIM:
-        raise ValueError(
-            f"n-k={n - code.k} exceeds optimal-enumerator dual guard {OPTIMAL_MAX_DUAL_DIM}"
-        )
-    dtype = _mask_dtype(n)
-    duals = _span_array(code.parity_basis.rows, dtype)
-    masks = np.arange(1 << n, dtype=dtype)
-    ok = np.ones(masks.shape, dtype=bool)
-    for w in duals:
-        if w == 0:
-            continue
-        ok &= np.bitwise_count(masks & w) != 1
-    sizes = np.bitwise_count(masks).astype(np.intp)
-    s_counts = np.bincount(sizes[ok], minlength=n + 1)
-
-    nonempty_stop = ok.copy()
-    nonempty_stop[0] = False
-    dead = _upward_closure(nonempty_stop, n)
-    d_counts = np.bincount(sizes[dead], minlength=n + 1)
-
-    s_poly = Enumerator(tuple(int(c) for c in s_counts))
-    d_poly = Enumerator(tuple(int(c) for c in d_counts))
-    s = next((i for i in range(1, n + 1) if s_poly[i] > 0), n + 1)
-    return StoppingProfile(s_poly, d_poly, s)
+    union = _lattice(n, _mask_dtype(n))
+    supports = _span_array(code.generator_basis.rows, union.dtype.type)
+    union[supports] = supports
+    _upward_closure(union, n)
+    flags = _lattice(n)
+    for part, masks in _chunks(n):
+        flags[part] = union[part] == masks
+    return _profile(flags, n)
 
 
 # ---------------------------------------------------------------------------

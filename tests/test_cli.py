@@ -183,6 +183,13 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--code"])
+def test_unknown_spec_is_input_error(capsys, flag):
+    code = main(["enumerate", flag, "no_such_code"])
+    assert code == 2
+    assert "is neither a readable file nor a catalog name" in capsys.readouterr().err
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -27,6 +27,8 @@ def test_channel_config_validation():
         ChannelConfig(epsilon=1.0, trials=10, seed=1)
     with pytest.raises(ValueError):
         ChannelConfig(epsilon=0.5, trials=0, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        ChannelConfig(epsilon=0.5, trials=10, seed=-1)
 
 
 def test_analytic_single_term():

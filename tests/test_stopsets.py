@@ -301,12 +301,14 @@ def test_optimal_stopping_sets_are_unions_of_supports():
 
 
 def test_optimal_guards():
-    too_long = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(21)), 21))
+    # S* and D* share the subset enumeration guard and have no cap on n-k.
+    too_long = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(29)), 29))
     with pytest.raises(ValueError):
         optimal_enumerators(too_long)
-    dual_too_big = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(17)), 18))
-    with pytest.raises(ValueError):
-        optimal_enumerators(dual_too_big)
+    big_dual = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(17)), 18))
+    star = optimal_enumerators(big_dual)
+    assert star.dead_end == incorrigible_enumerator(big_dual)  # D*(x) = I(x)
+    assert star.stopping_distance == big_dual.minimum_distance  # s* = d
 
 
 def test_enumeration_guard_env_override(monkeypatch):
