@@ -126,12 +126,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     h = _load(args.matrix, BitMatrix)
     cfg = ChannelConfig(epsilon=args.epsilon, trials=args.trials, seed=args.seed)
     rep = monte_carlo(code, h, cfg)
+
+    def num(x: Optional[float]) -> str:
+        return "n/a" if x is None else f"{x:.6g}"
+
     lines = [
         f"epsilon={rep.epsilon} trials={rep.trials} seed={rep.seed}",
-        f"optimal   analytic={rep.analytic_opt:.6g} empirical={rep.empirical_opt:.6g} (+-{rep.ci99_opt:.2g})",
-        f"iterative analytic={rep.analytic_it:.6g} empirical={rep.empirical_it:.6g} (+-{rep.ci99_it:.2g})",
+        f"optimal   analytic={num(rep.analytic_opt)} empirical={rep.empirical_opt:.6g} (+-{rep.ci99_opt:.2g})",
+        f"iterative analytic={num(rep.analytic_it)} empirical={rep.empirical_it:.6g} (+-{rep.ci99_it:.2g})",
         f"iterative-only failures: {rep.it_only_failures}",
     ]
+    lines += [f"note[{k}]: {v}" for k, v in rep.notes]
     _emit(rep.to_json_obj(), "\n".join(lines), args.pretty)
     return 0
 

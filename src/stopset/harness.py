@@ -10,7 +10,7 @@ block.  Every trial's erasure pattern is therefore a pure function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,7 @@ from .codes import Enumerator, LinearCode, catalog, rm_8_4_4
 from .decoder import is_parity_check_of
 from .gf2 import BitMatrix
 from .stopsets import (
+    _check_enumeration_guard,
     batch_peel_residuals,
     incorrigible_enumerator,
     is_incorrigible,
@@ -72,8 +73,8 @@ class PerformanceReport:
     epsilon: float
     trials: int
     seed: int
-    analytic_opt: float
-    analytic_it: float
+    analytic_opt: Optional[float]
+    analytic_it: Optional[float]
     empirical_opt: float
     empirical_it: float
     ci99_opt: float
@@ -81,11 +82,12 @@ class PerformanceReport:
     opt_failures: int
     it_failures: int
     it_only_failures: int
-    dominant_opt: float  # A_d eps^d
-    dominant_it: float  # S_s eps^s
+    dominant_opt: Optional[float]  # A_d eps^d
+    dominant_it: Optional[float]  # S_s eps^s
+    notes: tuple[tuple[str, str], ...] = field(default=())
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "n": self.n,
             "epsilon": self.epsilon,
             "trials": self.trials,
@@ -102,6 +104,9 @@ class PerformanceReport:
             },
             "dominant_terms": {"optimal": self.dominant_opt, "iterative": self.dominant_it},
         }
+        if self.notes:
+            obj["notes"] = dict(self.notes)
+        return obj
 
 
 def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> np.ndarray:
@@ -129,7 +134,10 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     Transmits the zero codeword: by linearity the failure events depend
     only on the erasure set, never on the transmitted word.  Iterative
     failure means the peeling fixpoint is nonempty; optimal failure
-    means the erasure set is incorrigible.
+    means the erasure set is incorrigible, tested once per chunk for
+    all its distinct masks.  Works for any n <= 64; above the subset
+    enumeration guard the analytic and dominant-term fields are None,
+    with the reason in ``notes``.
     """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
@@ -139,32 +147,30 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     opt_failures = 0
     it_only = 0
     chunk = 1 << 16
-    incorrigible_cache: dict[int, bool] = {}
     for start in range(0, cfg.trials, chunk):
         stop = min(start + chunk, cfg.trials)
         masks = _erasure_masks(cfg.seed, start, stop, n, cfg.epsilon)
         it_fail = batch_peel_residuals(h, masks) != 0
         uniq, inverse = np.unique(masks, return_inverse=True)
-        uniq_fail = np.empty(uniq.shape, dtype=bool)
-        for i, m in enumerate(uniq):
-            m = int(m)
-            if m not in incorrigible_cache:
-                incorrigible_cache[m] = is_incorrigible(code, m)
-            uniq_fail[i] = incorrigible_cache[m]
-        opt_fail = uniq_fail[inverse]
+        opt_fail = is_incorrigible(code, uniq)[inverse]
         it_failures += int(it_fail.sum())
         opt_failures += int(opt_fail.sum())
         it_only += int((it_fail & ~opt_fail).sum())
 
-    i_poly = incorrigible_enumerator(code)
-    h_profile = profile(h)
-    a_poly = code.weight_enumerator
-    analytic_opt = analytic_pud(i_poly, cfg.epsilon, n)
-    analytic_it = analytic_pud(h_profile.dead_end, cfg.epsilon, n)
-    d = code.minimum_distance
-    s = h_profile.stopping_distance
-    dominant_opt = 0.0 if code.k == 0 else a_poly[int(d)] * cfg.epsilon ** int(d)
-    dominant_it = 0.0 if s > n else h_profile.stopping[s] * cfg.epsilon**s
+    analytic_opt = analytic_it = dominant_opt = dominant_it = None
+    notes: tuple[tuple[str, str], ...] = ()
+    try:
+        _check_enumeration_guard(n)
+    except ValueError as exc:
+        notes = (("analytic", f"omitted: {exc}"), ("dominant_terms", f"omitted: {exc}"))
+    else:
+        analytic_opt = analytic_pud(incorrigible_enumerator(code), cfg.epsilon, n)
+        h_profile = profile(h)
+        analytic_it = analytic_pud(h_profile.dead_end, cfg.epsilon, n)
+        d = code.minimum_distance
+        s = h_profile.stopping_distance
+        dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
+        dominant_it = 0.0 if s > n else h_profile.stopping[s] * cfg.epsilon**s
 
     def halfwidth(fails: int) -> float:
         p = fails / cfg.trials
@@ -186,6 +192,7 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
         it_only_failures=it_only,
         dominant_opt=dominant_opt,
         dominant_it=dominant_it,
+        notes=notes,
     )
 
 

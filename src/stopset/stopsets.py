@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .codes import Enumerator, LinearCode, _span_array
-from .gf2 import BitMatrix, as_mask, rank, select_columns
+from .gf2 import BitMatrix, as_mask, rank, select_columns, transpose
 
 _DEFAULT_MAX_N = 28
 _CHUNK = 1 << 20
@@ -110,15 +110,47 @@ def peel_closure(h: BitMatrix, subset: int | Iterable[int]) -> int:
     return m
 
 
-def is_incorrigible(code: LinearCode, subset: int | Iterable[int]) -> bool:
+def is_incorrigible(code: LinearCode, subset: int | Iterable[int] | np.ndarray) -> bool | np.ndarray:
     """True iff the subset contains the support of a nonzero codeword.
 
     Tested as linear dependence of the parity-check columns indexed by
-    the subset.
+    the subset.  Given a numpy array of masks instead of one subset,
+    returns a bool array with one flag per mask, from one Gaussian
+    elimination vectorised across the masks (any n <= 64).
     """
+    if isinstance(subset, np.ndarray):
+        return _incorrigible_masks(code.parity_basis, subset)
     m = as_mask(subset)
     cols = select_columns(code.parity_basis, m)
     return rank(cols) < cols.n
+
+
+def _incorrigible_masks(h: BitMatrix, masks: np.ndarray) -> np.ndarray:
+    """Per mask: are the columns of H indexed by the mask dependent?
+
+    Each column c_j of H is an r-bit word.  Every mask keeps its own XOR
+    basis, basis[p] holding the reduced column whose leading bit is p (0
+    if none yet).  Column j, when in the mask, is reduced from the top
+    bit down and stored at the first empty leading position it reaches,
+    or reduces to 0.  The columns are dependent iff fewer than |mask| of
+    them were stored, i.e. the basis rank falls short of the mask size.
+    """
+    masks = np.asarray(masks, dtype=np.uint64)
+    if h.n < 64 and np.any(masks >> np.uint64(h.n)):
+        raise IndexError(f"column index beyond matrix length {h.n}")
+    word = _mask_dtype(h.r)
+    basis = np.zeros((h.r, *masks.shape), dtype=word)
+    for j, col in enumerate(transpose(h).rows):
+        v = ((masks >> np.uint64(j)) & np.uint64(1)).astype(word) * word(col)
+        for p in range(h.r - 1, -1, -1):
+            # 0/1 words used as per-mask selectors, so no branch per mask
+            hit = (v >> word(p)) & word(1)
+            b = basis[p]
+            v ^= b * hit  # reduce by the stored row, a no-op where it is 0
+            new = hit * (b == 0)
+            b |= v * new  # store where the leading position was empty
+            v ^= v * new  # a stored column reduces no further
+    return np.count_nonzero(basis, axis=0) < np.bitwise_count(masks)
 
 
 def batch_peel_residuals(h: BitMatrix, masks: np.ndarray) -> np.ndarray:

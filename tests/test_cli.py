@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from stopset.cli import main
 from stopset.codes import catalog, rm_8_4_4
 from stopset.gf2 import format_matrix
+
+from conftest import random_parity_matrix
 
 
 @pytest.fixture()
@@ -107,6 +110,24 @@ def test_simulate(capsys, h8_file):
     assert obj["trials"] == 500
     assert obj["failures"]["iterative_only"] == 0  # D = I for this matrix
     assert 0.0 <= obj["empirical"]["iterative"]["rate"] <= 1.0
+
+
+def test_simulate_above_enumeration_guard(capsys, tmp_path):
+    rng = random.Random(32)
+    path = tmp_path / "n32.txt"
+    path.write_text(format_matrix(random_parity_matrix(rng, 32, 16)))
+    argv = ["simulate", "--code", str(path), "--matrix", str(path),
+            "--epsilon", "0.2", "--trials", "2000", "--seed", "5"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["analytic"] == {"optimal": None, "iterative": None}
+    assert obj["dominant_terms"] == {"optimal": None, "iterative": None}
+    assert set(obj["notes"]) == {"analytic", "dominant_terms"}
+    code, out = run(capsys, argv + ["--pretty"])
+    assert code == 0
+    assert "optimal   analytic=n/a" in out and "iterative analytic=n/a" in out
+    assert "note[analytic]: omitted: n=32" in out
 
 
 def test_construct_complete(capsys):

@@ -13,9 +13,9 @@ from stopset.harness import (
     monte_carlo,
     table1_report,
 )
-from stopset.stopsets import dead_end_enumerator, incorrigible_enumerator
+from stopset.stopsets import dead_end_enumerator, incorrigible_enumerator, is_incorrigible, peel_closure
 
-from conftest import random_code_where, random_dual_spanning_matrix
+from conftest import random_code, random_code_where, random_dual_spanning_matrix
 
 RM = rm_8_4_4()
 
@@ -79,6 +79,55 @@ def test_erasure_stream_partition_independent():
         [_erasure_masks(99, a, b, 8, 0.3) for a, b in [(0, 37), (37, 5000), (5000, 10000)]]
     )
     assert np.array_equal(whole, pieces)
+
+
+def test_erasure_stream_golden():
+    # pinned Philox-4x64-10 stream: seed 1, epsilon 0.5, trials 0..4
+    assert _erasure_masks(1, 0, 5, 32, 0.5).tolist() == [
+        0x7FC1C7AD, 0x1FF23E52, 0xB556699E, 0x60EA5120, 0x807CFFC0,
+    ]
+    assert _erasure_masks(1, 0, 5, 64, 0.5).tolist() == [
+        0x1FF23E527FC1C7AD, 0x60EA5120B556699E, 0x9AD58141807CFFC0, 0xF4DBA3E5E17638F0, 0x2E147DF10382DB44,
+    ]
+    # trials 4094..4097 straddle the boundary between blocks 0 and 1
+    whole = _erasure_masks(1, 0, 8192, 64, 0.5)
+    assert np.array_equal(_erasure_masks(1, 4094, 4098, 64, 0.5), whole[4094:4098])
+
+
+def test_monte_carlo_chunk_boundary_recount():
+    # 70,000 trials run past the first 2^16-trial chunk
+    h = catalog("H_4")
+    cfg = ChannelConfig(epsilon=0.4, trials=70_000, seed=77)
+    rep = monte_carlo(RM, h, cfg)
+    it_fail: dict[int, bool] = {}
+    opt_fail: dict[int, bool] = {}
+    it = opt = it_only = 0
+    for m in _erasure_masks(cfg.seed, 0, cfg.trials, RM.n, cfg.epsilon).tolist():
+        if m not in it_fail:
+            it_fail[m] = peel_closure(h, m) != 0
+            opt_fail[m] = is_incorrigible(RM, m)
+        it += it_fail[m]
+        opt += opt_fail[m]
+        it_only += it_fail[m] and not opt_fail[m]
+    assert (rep.it_failures, rep.opt_failures, rep.it_only_failures) == (it, opt, it_only)
+    assert it_only > 0
+
+
+def test_monte_carlo_above_enumeration_guard():
+    code = random_code(random.Random(32), 32, 16)
+    rep = monte_carlo(code, code.parity_basis, ChannelConfig(epsilon=0.2, trials=3000, seed=4))
+    assert (rep.analytic_opt, rep.analytic_it, rep.dominant_opt, rep.dominant_it) == (None,) * 4
+    notes = dict(rep.notes)
+    assert set(notes) == {"analytic", "dominant_terms"} and "guard 28" in notes["analytic"]
+    assert rep.opt_failures <= rep.it_failures
+    obj = json.loads(json.dumps(rep.to_json_obj()))
+    assert obj["analytic"] == {"optimal": None, "iterative": None}
+    assert obj["notes"] == notes
+
+
+def test_report_json_omits_empty_notes():
+    rep = monte_carlo(RM, catalog("H_8"), ChannelConfig(0.25, 100, 3))
+    assert rep.notes == () and "notes" not in rep.to_json_obj()
 
 
 def test_monte_carlo_reproducible():

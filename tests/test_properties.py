@@ -1,25 +1,32 @@
-"""Property tests: the lattice kernel against the brute-force oracles.
+"""Property tests: the lattice kernel and the batched incorrigibility test
+against the brute-force oracles.
 
-Random codes with n <= 10 and random dual-spanning parity-check matrices
-come from the conftest helpers, seeded by hypothesis.  Examples are
-derandomized so the suite stays deterministic.
+Random codes with n <= 10 (n <= 14 for the incorrigibility test) and
+random dual-spanning parity-check matrices come from the conftest
+helpers, seeded by hypothesis.  Examples are derandomized so the suite
+stays deterministic.
 """
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stopset.codes import full_code, repetition, zero_code
 from stopset.construct import complete_matrix
 from stopset.stopsets import (
     dead_end_enumerator,
     incorrigible_enumerator,
+    is_incorrigible,
     optimal_enumerators,
     profile,
     stopping_set_enumerator,
 )
 
 from conftest import (
+    contained_supports,
     oracle_dead_end_enumerator,
     oracle_incorrigible_enumerator,
     oracle_stopping_enumerator,
@@ -65,3 +72,46 @@ def test_optimal_matches_complete_matrix(drawn):
     assert star.stopping == stopping_set_enumerator(h_star)
     assert star.dead_end == dead_end_enumerator(h_star)
     assert star.dead_end == incorrigible_enumerator(code)  # D*(x) = I(x)
+
+
+def _check_all_masks(code):
+    """Array form == scalar form == contained-support oracle, on every mask."""
+    masks = np.arange(1 << code.n, dtype=np.uint64)
+    flags = is_incorrigible(code, masks)
+    assert flags.dtype == bool and flags.shape == masks.shape
+    assert flags.tolist() == [is_incorrigible(code, m) for m in range(1 << code.n)]
+    assert flags.tolist() == [bool(contained_supports(code, m)) for m in range(1 << code.n)]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.integers(1, 14), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_incorrigible_array_matches_scalar_and_oracle(n, k, seed):
+    # redundancy n - k keeps the oracle's 2^n masks x 2^k codewords small
+    code = random_code(random.Random(seed), n, max(n - k, 0))
+    _check_all_masks(code)
+
+
+@pytest.mark.parametrize("make", [full_code, zero_code, repetition])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_incorrigible_array_special_codes(make, n):
+    _check_all_masks(make(n))
+
+
+def test_incorrigible_array_empty():
+    flags = is_incorrigible(repetition(5), np.empty(0, dtype=np.uint64))
+    assert flags.dtype == bool and flags.shape == (0,)
+
+
+def test_incorrigible_array_rejects_out_of_range():
+    with pytest.raises(IndexError):
+        is_incorrigible(repetition(5), np.array([1 << 5], dtype=np.uint64))
+
+
+def test_incorrigible_array_n64_matches_scalar():
+    rng = random.Random(64)
+    code = random_code(rng, 64, 40)
+    density = [rng.uniform(0.2, 0.9) for _ in range(300)]
+    masks = np.array([sum(1 << j for j in range(64) if rng.random() < p) for p in density], dtype=np.uint64)
+    flags = is_incorrigible(code, masks)
+    assert flags.tolist() == [is_incorrigible(code, int(m)) for m in masks]
+    assert 0 < flags.sum() < len(masks)  # both outcomes occur
