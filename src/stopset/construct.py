@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .codes import LinearCode
 from .gf2 import (
     BitMatrix,
@@ -24,10 +26,18 @@ from .gf2 import (
     solve,
     transpose,
 )
-from .stopsets import incorrigible_enumerator, optimal_enumerators
+from .stopsets import _check_enumeration_guard, _mask_dtype, is_incorrigible, optimal_enumerators
+from .stopsets import incorrigible_enumerator  # noqa: F401  perfbench/tracing.py wraps this name
 
 COMPLETE_MAX_DUAL_DIM = 20
 SEARCH_MAX_DUAL_WORDS = 20
+
+
+def _dual_words(code: LinearCode) -> list[int]:
+    """All 2**(n-k) dual codewords, ascending as integers (zero first)."""
+    if code.n - code.k > COMPLETE_MAX_DUAL_DIM:
+        raise ValueError(f"n-k={code.n - code.k} exceeds complete-matrix guard {COMPLETE_MAX_DUAL_DIM}")
+    return sorted(row_space_iter(code.parity_basis))
 
 
 def complete_matrix(code: LinearCode) -> BitMatrix:
@@ -36,9 +46,7 @@ def complete_matrix(code: LinearCode) -> BitMatrix:
     Includes the zero row, which no stopping or dead-end predicate ever
     reacts to; it is kept so the row count matches 2**(n-k).
     """
-    if code.n - code.k > COMPLETE_MAX_DUAL_DIM:
-        raise ValueError(f"n-k={code.n - code.k} exceeds complete-matrix guard {COMPLETE_MAX_DUAL_DIM}")
-    return BitMatrix(tuple(sorted(row_space_iter(code.parity_basis))), code.n)
+    return BitMatrix(tuple(_dual_words(code)), code.n)
 
 
 def weight_bounded_dual_matrix(code: LinearCode, w: int) -> BitMatrix:
@@ -50,9 +58,7 @@ def weight_bounded_dual_matrix(code: LinearCode, w: int) -> BitMatrix:
     is reported as an error since the result would not represent the
     code.
     """
-    if code.n - code.k > COMPLETE_MAX_DUAL_DIM:
-        raise ValueError(f"n-k={code.n - code.k} exceeds complete-matrix guard {COMPLETE_MAX_DUAL_DIM}")
-    rows = sorted(v for v in row_space_iter(code.parity_basis) if 0 < v.bit_count() <= w)
+    rows = [v for v in _dual_words(code) if 0 < v.bit_count() <= w]
     m = BitMatrix(tuple(rows), code.n)
     if rank(m) < code.n - code.k:
         raise ValueError(
@@ -133,76 +139,58 @@ def minimal_matrix_search(
     enumerator is optimal).  Candidates are scanned by increasing row
     count, then lexicographically on the sorted row list, so the result
     is deterministic.
+
+    Every candidate row is a dual codeword, so every S* set is a
+    stopping set of the candidate and every incorrigible set a dead-end
+    set of it: adding rows only removes stopping sets.  Each predicate
+    is therefore one test on the candidate's stopping flags over the
+    2**n subsets (the AND of its rows' flags): s=d holds iff no nonempty
+    stopping set is smaller than d; S=S* iff the candidate has as many
+    stopping sets as the complete matrix; D=I iff every nonempty
+    stopping set is incorrigible.  The GF(2) rank runs only on
+    candidates that pass.  The flags share the subset enumeration guard
+    of the enumerators (n <= 28 by default).
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"predicate must be one of {_PREDICATES}")
-    duals = sorted(v for v in row_space_iter(code.parity_basis) if v)
+    duals = _dual_words(code)[1:]
     if len(duals) > SEARCH_MAX_DUAL_WORDS:
         raise ValueError(f"{len(duals)} nonzero dual words exceed search guard {SEARCH_MAX_DUAL_WORDS}")
 
     n = code.n
-    n_masks = 1 << n
     need_rank = code.n - code.k
+    _check_enumeration_guard(n)
+    masks = np.arange(1 << n, dtype=_mask_dtype(n))
+    # row i flags the subsets that dual word i does not meet exactly once
+    flag_rows = np.empty((len(duals), masks.size), dtype=bool)
+    for i, w in enumerate(duals):
+        flag_rows[i] = np.bitwise_count(masks & masks.dtype.type(w)) != 1
 
-    # Bit m of these big ints refers to the coordinate subset with mask m.
-    not_killed = {}
-    for w in duals:
-        bits = 0
-        for m in range(n_masks):
-            if (m & w).bit_count() != 1:
-                bits |= 1 << m
-        not_killed[w] = bits
-    size_masks = [0] * (n + 1)
-    for m in range(n_masks):
-        size_masks[m.bit_count()] |= 1 << m
-    all_subsets = (1 << n_masks) - 1
-    # For the upward closure: bit positions whose subset-mask lacks bit j.
-    clear_j = []
-    for j in range(n):
-        bits = 0
-        for m in range(n_masks):
-            if not (m >> j) & 1:
-                bits |= 1 << m
-        clear_j.append(bits)
+    if predicate == "S=S*":
+        target = optimal_enumerators(code).stopping.total()
 
-    def counts(indicator: int) -> tuple[int, ...]:
-        return tuple((indicator & size_masks[i]).bit_count() for i in range(n + 1))
+        def accept(stops: np.ndarray) -> bool:
+            return np.count_nonzero(stops) == target
 
-    def dead_closure(stop_ind: int) -> int:
-        x = stop_ind & ~1  # drop the empty set
-        for j in range(n):
-            x |= (x & clear_j[j]) << (1 << j)
-        return x & all_subsets
+    else:
+        if predicate == "s=d":
+            sizes = np.bitwise_count(masks)
+            forbidden = (sizes > 0) & (sizes < min(code.minimum_distance, n + 1))
+        else:  # "D=I"
+            forbidden = ~is_incorrigible(code, masks)
+            forbidden[0] = False  # the empty set is always stopping
 
-    if predicate == "s=d":
-        d = code.minimum_distance
-        small = range(1, int(d) if d is not math.inf else n + 1)
-
-        def accept(stop_ind: int) -> bool:
-            return all((stop_ind & size_masks[i]) == 0 for i in small)
-
-    elif predicate == "S=S*":
-        target_s = optimal_enumerators(code).stopping.coefficients
-
-        def accept(stop_ind: int) -> bool:
-            return counts(stop_ind) == target_s
-
-    else:  # "D=I"
-        target_i = incorrigible_enumerator(code).coefficients
-
-        def accept(stop_ind: int) -> bool:
-            return counts(dead_closure(stop_ind)) == target_i
+        def accept(stops: np.ndarray) -> bool:
+            return not (stops & forbidden).any()
 
     limit = len(duals) if max_rows is None else min(max_rows, len(duals))
     for r in range(need_rank, limit + 1):
-        for combo in combinations(duals, r):
-            if rank(BitMatrix(combo, n)) != need_rank:
-                continue
-            stop_ind = all_subsets
-            for w in combo:
-                stop_ind &= not_killed[w]
-            if accept(stop_ind):
-                return BitMatrix(combo, n)
+        for combo in combinations(range(len(duals)), r):
+            # an empty combo reduces to all True: every subset is stopping
+            if accept(flag_rows[list(combo)].all(axis=0)):
+                h = BitMatrix(tuple(duals[i] for i in combo), n)
+                if rank(h) == need_rank:
+                    return h
     return None
 
 

@@ -134,10 +134,10 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     Transmits the zero codeword: by linearity the failure events depend
     only on the erasure set, never on the transmitted word.  Iterative
     failure means the peeling fixpoint is nonempty; optimal failure
-    means the erasure set is incorrigible, tested once per chunk for
-    all its distinct masks.  Works for any n <= 64; above the subset
-    enumeration guard the analytic and dominant-term fields are None,
-    with the reason in ``notes``.
+    means the erasure set is incorrigible.  Both are tested once per
+    chunk, on its distinct masks only.  Works for any n <= 64; above
+    the subset enumeration guard the analytic and dominant-term fields
+    are None, with the reason in ``notes``.
     """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
@@ -150,8 +150,8 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     for start in range(0, cfg.trials, chunk):
         stop = min(start + chunk, cfg.trials)
         masks = _erasure_masks(cfg.seed, start, stop, n, cfg.epsilon)
-        it_fail = batch_peel_residuals(h, masks) != 0
         uniq, inverse = np.unique(masks, return_inverse=True)
+        it_fail = (batch_peel_residuals(h, uniq) != 0)[inverse]
         opt_fail = is_incorrigible(code, uniq)[inverse]
         it_failures += int(it_fail.sum())
         opt_failures += int(opt_fail.sum())

@@ -14,7 +14,8 @@ import random
 from itertools import combinations
 
 from stopset.codes import Enumerator, LinearCode
-from stopset.gf2 import BitMatrix, row_space_iter
+from stopset.gf2 import BitMatrix, rank, row_space_iter
+from stopset.stopsets import dead_end_enumerator, stopping_distance, stopping_set_enumerator
 
 
 def random_parity_matrix(rng: random.Random, n: int, rows: int) -> BitMatrix:
@@ -101,6 +102,40 @@ def oracle_incorrigible_enumerator(code: LinearCode) -> Enumerator:
 def oracle_minimum_distance(code: LinearCode):
     weights = [c.bit_count() for c in code.codewords() if c]
     return min(weights) if weights else math.inf
+
+
+def oracle_minimal_matrix_search(code: LinearCode, predicate: str, max_rows=None):
+    """First full-rank set of distinct nonzero dual words, by row count then
+    lexicographically, whose matrix meets the predicate by its definition."""
+    duals = sorted(v for v in row_space_iter(code.parity_basis) if v)
+    need = code.n - code.k
+    if predicate == "s=d":
+        d = oracle_minimum_distance(code)
+        target = code.n + 1 if d is math.inf else d
+
+        def accept(h):
+            return stopping_distance(h) == target
+
+    elif predicate == "S=S*":
+        complete = BitMatrix(tuple(row_space_iter(code.parity_basis)), code.n)
+        target = oracle_stopping_enumerator(complete)
+
+        def accept(h):
+            return stopping_set_enumerator(h) == target
+
+    else:  # "D=I"
+        target = oracle_incorrigible_enumerator(code)
+
+        def accept(h):
+            return dead_end_enumerator(h) == target
+
+    limit = len(duals) if max_rows is None else min(max_rows, len(duals))
+    for r in range(limit + 1):
+        for combo in combinations(duals, r):
+            h = BitMatrix(combo, code.n)
+            if rank(h) == need and accept(h):
+                return h
+    return None
 
 
 def contained_supports(code: LinearCode, mask: int) -> list[int]:

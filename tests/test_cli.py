@@ -5,7 +5,7 @@ import pytest
 
 from stopset.cli import main
 from stopset.codes import catalog, rm_8_4_4
-from stopset.gf2 import format_matrix
+from stopset.gf2 import BitMatrix, format_matrix
 
 from conftest import random_parity_matrix
 
@@ -165,6 +165,14 @@ def test_construct_search_not_found(capsys):
                              "--predicate", "S=S*", "--max-rows", "5"])
     assert code == 0
     assert json.loads(out)["found"] is False
+
+
+def test_construct_search_above_enumeration_guard(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("STOPSET_MAX_N", raising=False)
+    path = tmp_path / "n29.txt"
+    path.write_text(format_matrix(BitMatrix(tuple(0x7F << (7 * i) for i in range(4)), 29)))
+    code, out = run(capsys, ["construct", "search", "--code", str(path), "--predicate", "S=S*"])
+    assert code == 2 and out == ""
 
 
 def test_construct_enumerate_round_trip(capsys, tmp_path):

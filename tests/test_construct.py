@@ -175,6 +175,20 @@ def test_minimal_search_max_rows_and_errors():
         minimal_matrix_search(big, "D=I")  # 31 nonzero dual words
 
 
+def test_minimal_search_shares_enumeration_guard(monkeypatch):
+    monkeypatch.delenv("STOPSET_MAX_N", raising=False)
+    code = LinearCode.from_parity_check(BitMatrix(tuple(0x7F << (7 * i) for i in range(4)), 29))
+    assert (code.n, code.k) == (29, 25)  # 15 nonzero dual words, within the search guard
+    with pytest.raises(ValueError, match="subset enumeration guard 28"):
+        minimal_matrix_search(code, "D=I")
+
+
+def test_minimal_search_dual_dimension_guard():
+    wide = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(21)), 22))
+    with pytest.raises(ValueError, match="complete-matrix guard"):
+        minimal_matrix_search(wide, "s=d")
+
+
 def test_eq1_row_count_range():
     rng = random.Random(63)
     for _ in range(10):

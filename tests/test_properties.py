@@ -1,5 +1,5 @@
-"""Property tests: the lattice kernel and the batched incorrigibility test
-against the brute-force oracles.
+"""Property tests: the lattice kernel, the batched incorrigibility test
+and the minimal-matrix search against the brute-force oracles.
 
 Random codes with n <= 10 (n <= 14 for the incorrigibility test) and
 random dual-spanning parity-check matrices come from the conftest
@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopset.codes import full_code, repetition, zero_code
-from stopset.construct import complete_matrix
+from stopset.codes import LinearCode, full_code, hamming_7_4, repetition, zero_code
+from stopset.construct import SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
+from stopset.gf2 import select_columns
 from stopset.stopsets import (
     dead_end_enumerator,
     incorrigible_enumerator,
@@ -29,6 +30,7 @@ from conftest import (
     contained_supports,
     oracle_dead_end_enumerator,
     oracle_incorrigible_enumerator,
+    oracle_minimal_matrix_search,
     oracle_stopping_enumerator,
     random_code,
     random_dual_spanning_matrix,
@@ -115,3 +117,44 @@ def test_incorrigible_array_n64_matches_scalar():
     flags = is_incorrigible(code, masks)
     assert flags.tolist() == [is_incorrigible(code, int(m)) for m in masks]
     assert 0 < flags.sum() < len(masks)  # both outcomes occur
+
+
+SEARCH_PREDICATES = ("s=d", "S=S*", "D=I")
+
+
+def _rows(h):
+    return None if h is None else h.rows
+
+
+def _check_search(code):
+    nk = code.n - code.k
+    for predicate in SEARCH_PREDICATES:
+        for max_rows in (None, nk, nk + 1):
+            found = minimal_matrix_search(code, predicate, max_rows)
+            assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate, max_rows))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_minimal_search_matches_oracle(n, redundancy, seed):
+    _check_search(random_code(random.Random(seed), n, min(redundancy, n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_minimal_search_matches_oracle_distance_3(n):
+    # Hamming [7,4,3] and its shortenings: d = 3 with n-k = 3
+    h = select_columns(hamming_7_4().parity_basis, range(1, n + 1))
+    _check_search(LinearCode.from_parity_check(h))
+
+
+@pytest.mark.parametrize("make", [full_code, zero_code, repetition])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("predicate", SEARCH_PREDICATES)
+def test_minimal_search_special_codes(make, n, predicate):
+    code = make(n)
+    if (1 << (code.n - code.k)) - 1 > SEARCH_MAX_DUAL_WORDS:  # zero_code(5)
+        with pytest.raises(ValueError):
+            minimal_matrix_search(code, predicate)
+        return
+    found = minimal_matrix_search(code, predicate)
+    assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate))
