@@ -26,8 +26,9 @@ from .gf2 import (
     solve,
     transpose,
 )
-from .stopsets import _check_enumeration_guard, _mask_dtype, is_incorrigible, optimal_enumerators
-from .stopsets import incorrigible_enumerator  # noqa: F401  perfbench/tracing.py wraps this name
+from .stopsets import _incorrigible_flags, _optimal_flags
+# unused here, but perfbench/tracing.py wraps both names in this module
+from .stopsets import incorrigible_enumerator, optimal_enumerators  # noqa: F401
 
 COMPLETE_MAX_DUAL_DIM = 20
 SEARCH_MAX_DUAL_WORDS = 20
@@ -140,16 +141,19 @@ def minimal_matrix_search(
     count, then lexicographically on the sorted row list, so the result
     is deterministic.
 
-    Every candidate row is a dual codeword, so every S* set is a
-    stopping set of the candidate and every incorrigible set a dead-end
-    set of it: adding rows only removes stopping sets.  Each predicate
-    is therefore one test on the candidate's stopping flags over the
-    2**n subsets (the AND of its rows' flags): s=d holds iff no nonempty
-    stopping set is smaller than d; S=S* iff the candidate has as many
-    stopping sets as the complete matrix; D=I iff every nonempty
-    stopping set is incorrigible.  The GF(2) rank runs only on
-    candidates that pass.  The flags share the subset enumeration guard
-    of the enumerators (n <= 28 by default).
+    Each predicate is a set of forbidden subsets that the candidate must
+    leave non-stopping: for "s=d" the sets of size 1..d-1, for "S=S*"
+    the sets that are not S* sets, for "D=I" the nonempty sets that are
+    not incorrigible.  Every candidate row is a dual codeword, so every
+    S* set is a stopping set of the candidate and every incorrigible set
+    a dead-end set of it; the predicate therefore holds exactly when no
+    forbidden set is stopping (a dead-end set outside I holds a nonempty
+    stopping set, which is outside I too).  The S* and I flags come from
+    the enumerator kernels, and the sets below size d are the small sets
+    outside I, so the search shares their subset enumeration guard
+    (n <= 28 by default).  A candidate passes iff every forbidden set
+    meets one of its rows exactly once; the GF(2) rank runs only on
+    candidates that pass.
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"predicate must be one of {_PREDICATES}")
@@ -159,35 +163,22 @@ def minimal_matrix_search(
 
     n = code.n
     need_rank = code.n - code.k
-    _check_enumeration_guard(n)
-    masks = np.arange(1 << n, dtype=_mask_dtype(n))
-    # row i flags the subsets that dual word i does not meet exactly once
-    flag_rows = np.empty((len(duals), masks.size), dtype=bool)
-    for i, w in enumerate(duals):
-        flag_rows[i] = np.bitwise_count(masks & masks.dtype.type(w)) != 1
-
     if predicate == "S=S*":
-        target = optimal_enumerators(code).stopping.total()
-
-        def accept(stops: np.ndarray) -> bool:
-            return np.count_nonzero(stops) == target
-
+        forbidden = np.flatnonzero(~_optimal_flags(code))
     else:
+        forbidden = np.flatnonzero(~_incorrigible_flags(code))[1:]  # [0] is the empty set
         if predicate == "s=d":
-            sizes = np.bitwise_count(masks)
-            forbidden = (sizes > 0) & (sizes < min(code.minimum_distance, n + 1))
-        else:  # "D=I"
-            forbidden = ~is_incorrigible(code, masks)
-            forbidden[0] = False  # the empty set is always stopping
-
-        def accept(stops: np.ndarray) -> bool:
-            return not (stops & forbidden).any()
+            forbidden = forbidden[np.bitwise_count(forbidden) < code.minimum_distance]
+    # stays[i, f]: dual word i does not meet forbidden set f exactly once
+    stays = np.empty((len(duals), forbidden.size), dtype=bool)
+    for i, w in enumerate(duals):
+        stays[i] = np.bitwise_count(forbidden & w) != 1
 
     limit = len(duals) if max_rows is None else min(max_rows, len(duals))
     for r in range(need_rank, limit + 1):
         for combo in combinations(range(len(duals)), r):
-            # an empty combo reduces to all True: every subset is stopping
-            if accept(flag_rows[list(combo)].all(axis=0)):
+            # an empty combo leaves every forbidden set stopping
+            if not np.count_nonzero(stays[list(combo)].all(axis=0)):
                 h = BitMatrix(tuple(duals[i] for i in combo), n)
                 if rank(h) == need_rank:
                     return h
@@ -287,7 +278,10 @@ def redundancy_bounds(
 
     entropy = None
     if k <= n / 2 - 1:
-        entropy = 2.0 ** (n * binary_entropy((k + 1) / n))
+        try:
+            entropy = 2.0 ** (n * binary_entropy((k + 1) / n))
+        except OverflowError:
+            notes.append(("entropy_bound", "omitted: 2**(n H((k+1)/n)) exceeds the float range"))
     else:
         notes.append(("entropy_bound", "omitted: requires k <= n/2 - 1"))
 

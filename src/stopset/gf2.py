@@ -199,12 +199,17 @@ def _pack_columns(m: BitMatrix, cols: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def select_columns(m: BitMatrix, subset: int | Iterable[int]) -> BitMatrix:
-    """Submatrix of the columns in ``subset``, ascending, row order kept."""
+def _column_mask(m: BitMatrix, subset: int | Iterable[int]) -> int:
+    """as_mask(subset), refusing coordinates beyond the columns of M."""
     mask = as_mask(subset)
     if mask >> m.n:
         raise IndexError(f"column index beyond matrix length {m.n}")
-    cols = indices_from_mask(mask)
+    return mask
+
+
+def select_columns(m: BitMatrix, subset: int | Iterable[int]) -> BitMatrix:
+    """Submatrix of the columns in ``subset``, ascending, row order kept."""
+    cols = indices_from_mask(_column_mask(m, subset))
     return BitMatrix(_pack_columns(m, cols), len(cols))
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .codes import Enumerator, LinearCode, _span_array
-from .gf2 import BitMatrix, as_mask, rank, select_columns, transpose
+from .gf2 import BitMatrix, _column_mask, rank, select_columns, transpose
 
 _DEFAULT_MAX_N = 28
 _CHUNK = 1 << 20
@@ -81,13 +81,13 @@ def _histogram(flags: np.ndarray, n: int) -> Enumerator:
 
 def is_codeword_support(h: BitMatrix, subset: int | Iterable[int]) -> bool:
     """True iff every row of H restricted to the subset has even weight."""
-    m = as_mask(subset)
+    m = _column_mask(h, subset)
     return all((row & m).bit_count() % 2 == 0 for row in h.rows)
 
 
 def is_stopping_set(h: BitMatrix, subset: int | Iterable[int]) -> bool:
     """True iff no row of H restricted to the subset has weight one."""
-    m = as_mask(subset)
+    m = _column_mask(h, subset)
     return all((row & m).bit_count() != 1 for row in h.rows)
 
 
@@ -98,7 +98,7 @@ def peel_closure(h: BitMatrix, subset: int | Iterable[int]) -> int:
     empty iff the subset contains no nonempty stopping set.  Removal
     order does not affect the fixpoint.
     """
-    m = as_mask(subset)
+    m = _column_mask(h, subset)
     changed = True
     while changed and m:
         changed = False
@@ -120,8 +120,7 @@ def is_incorrigible(code: LinearCode, subset: int | Iterable[int] | np.ndarray) 
     """
     if isinstance(subset, np.ndarray):
         return _incorrigible_masks(code.parity_basis, subset)
-    m = as_mask(subset)
-    cols = select_columns(code.parity_basis, m)
+    cols = select_columns(code.parity_basis, subset)
     return rank(cols) < cols.n
 
 
@@ -235,13 +234,18 @@ def dead_end_enumerator(h: BitMatrix) -> Enumerator:
     return _dead_end(_stopping_flags(h), h.n)
 
 
-def incorrigible_enumerator(code: LinearCode) -> Enumerator:
-    """I(x): I_i = number of size-i sets containing a nonzero-codeword support."""
+def _incorrigible_flags(code: LinearCode) -> np.ndarray:
+    """flags[m] is True iff the subset m contains a nonzero-codeword support."""
     n = code.n
     flags = _lattice(n)
     flags[_span_array(code.generator_basis.rows, _mask_dtype(n))] = True
     flags[0] = False  # the zero codeword does not count
-    return _histogram(_upward_closure(flags, n), n)
+    return _upward_closure(flags, n)
+
+
+def incorrigible_enumerator(code: LinearCode) -> Enumerator:
+    """I(x): I_i = number of size-i sets containing a nonzero-codeword support."""
+    return _histogram(_incorrigible_flags(code), code.n)
 
 
 def stopping_distance(h: BitMatrix) -> int:
@@ -254,15 +258,13 @@ def profile(h: BitMatrix) -> StoppingProfile:
     return _profile(_stopping_flags(h), h.n)
 
 
-def optimal_enumerators(code: LinearCode) -> StoppingProfile:
-    """S*(x), D*(x), s*: enumerators of the complete parity-check matrix.
+def _optimal_flags(code: LinearCode) -> np.ndarray:
+    """flags[m] is True iff the subset m is stopping for the complete matrix.
 
-    A set is stopping for the complete matrix iff it is the union of the
-    codeword supports it contains.  The union of the supports inside
-    every subset comes from one OR-zeta transform of the 2**k supports,
-    so neither the complete matrix nor its 2**(n-k) rows are ever
-    formed.  D*(x) is the upward closure of the nonempty S* sets, as for
-    D(x).
+    That holds iff m is the union of the codeword supports it contains.
+    The union of the supports inside every subset comes from one OR-zeta
+    transform of the 2**k supports, so neither the complete matrix nor
+    its 2**(n-k) rows are ever formed.
     """
     n = code.n
     union = _lattice(n, _mask_dtype(n))
@@ -272,7 +274,16 @@ def optimal_enumerators(code: LinearCode) -> StoppingProfile:
     flags = _lattice(n)
     for part, masks in _chunks(n):
         flags[part] = union[part] == masks
-    return _profile(flags, n)
+    return flags
+
+
+def optimal_enumerators(code: LinearCode) -> StoppingProfile:
+    """S*(x), D*(x), s*: enumerators of the complete parity-check matrix.
+
+    S*(x) counts the flags of _optimal_flags; D*(x) is the upward
+    closure of the nonempty S* sets, as for D(x).
+    """
+    return _profile(_optimal_flags(code), code.n)
 
 
 # ---------------------------------------------------------------------------

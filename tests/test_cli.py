@@ -201,6 +201,15 @@ def test_bounds(capsys):
     assert (obj["sv_bound"], obj["hs_bound"], obj["ht_bound"], obj["holtol_bound"]) == (10, 8, 8, 8)
 
 
+def test_bounds_entropy_overflow(capsys):
+    code, out = run(capsys, ["bounds", "--n", "3000", "--k", "1000"])
+    assert code == 0
+    assert json.loads(out)["entropy_bound"] is None
+    code, out = run(capsys, ["bounds", "--n", "3000", "--k", "1000", "--pretty"])
+    assert code == 0
+    assert "entropy_bound = None" in out and "note[entropy_bound]:" in out
+
+
 def test_bounds_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--n", "8"])

@@ -225,6 +225,13 @@ def test_bounds_entropy_case():
     assert rep.entropy_bound == pytest.approx(256.0)
 
 
+def test_bounds_entropy_overflow():
+    rep = redundancy_bounds(3000, 1000)  # 2**(n H) is past the largest float
+    assert rep.entropy_bound is None
+    assert "float range" in dict(rep.notes)["entropy_bound"]
+    assert rep.holtol_bound == 1 << 1999
+
+
 def test_bounds_d2_empty_sum():
     rep = redundancy_bounds(8, 4, 2)
     assert rep.sv_bound == 0

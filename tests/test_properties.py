@@ -18,6 +18,8 @@ from stopset.codes import LinearCode, full_code, hamming_7_4, repetition, zero_c
 from stopset.construct import SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.gf2 import select_columns
 from stopset.stopsets import (
+    _incorrigible_flags,
+    _optimal_flags,
     dead_end_enumerator,
     incorrigible_enumerator,
     is_incorrigible,
@@ -30,6 +32,7 @@ from conftest import (
     contained_supports,
     oracle_dead_end_enumerator,
     oracle_incorrigible_enumerator,
+    oracle_is_stopping,
     oracle_minimal_matrix_search,
     oracle_stopping_enumerator,
     random_code,
@@ -74,6 +77,17 @@ def test_optimal_matches_complete_matrix(drawn):
     assert star.stopping == stopping_set_enumerator(h_star)
     assert star.dead_end == dead_end_enumerator(h_star)
     assert star.dead_end == incorrigible_enumerator(code)  # D*(x) = I(x)
+
+
+@PROPERTY
+@given(codes())
+def test_flags_match_oracles_mask_by_mask(drawn):
+    # the search reads these flags mask by mask; equal histograms would not show a swap
+    _, code = drawn
+    h_star = complete_matrix(code)
+    everything = range(1 << code.n)
+    assert _incorrigible_flags(code).tolist() == [bool(contained_supports(code, m)) for m in everything]
+    assert _optimal_flags(code).tolist() == [oracle_is_stopping(h_star, m) for m in everything]
 
 
 def _check_all_masks(code):

@@ -73,6 +73,16 @@ def test_peel_closure_examples():
     assert peel_closure(H8, 0) == 0
 
 
+@pytest.mark.parametrize("predicate", [is_codeword_support, is_stopping_set, peel_closure])
+@pytest.mark.parametrize("subset", [[9], 1 << 8, [1, 8, 9]])
+def test_scalar_predicates_reject_out_of_range(predicate, subset):
+    # H_8 has 8 columns; is_incorrigible and select_columns refuse the same input
+    with pytest.raises(IndexError, match="beyond matrix length 8"):
+        predicate(H8, subset)
+    with pytest.raises(IndexError, match="beyond matrix length 8"):
+        is_incorrigible(RM, subset)
+
+
 def test_peel_closure_is_maximal_stopping_subset():
     rng = random.Random(30)
     for _ in range(200):
