@@ -26,7 +26,7 @@ from .gf2 import (
     solve,
     transpose,
 )
-from .stopsets import _incorrigible_flags, _optimal_flags
+from .stopsets import _incorrigible_flags, _optimal_flags, _unpack
 # unused here, but perfbench/tracing.py wraps both names in this module
 from .stopsets import incorrigible_enumerator, optimal_enumerators  # noqa: F401
 
@@ -164,9 +164,9 @@ def minimal_matrix_search(
     n = code.n
     need_rank = code.n - code.k
     if predicate == "S=S*":
-        forbidden = np.flatnonzero(~_optimal_flags(code))
+        forbidden = np.flatnonzero(~_unpack(_optimal_flags(code), n))
     else:
-        forbidden = np.flatnonzero(~_incorrigible_flags(code))[1:]  # [0] is the empty set
+        forbidden = np.flatnonzero(~_unpack(_incorrigible_flags(code), n))[1:]  # [0] is the empty set
         if predicate == "s=d":
             forbidden = forbidden[np.bitwise_count(forbidden) < code.minimum_distance]
     # stays[i, f]: dual word i does not meet forbidden set f exactly once

@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .codes import Enumerator, LinearCode, catalog, rm_8_4_4
+from .codes import WEIGHT_ENUM_LIMIT, Enumerator, LinearCode, catalog, rm_8_4_4
 from .decoder import is_parity_check_of
 from .gf2 import BitMatrix
 from .stopsets import (
-    _check_enumeration_guard,
+    _enumeration_refusal,
     batch_peel_residuals,
     incorrigible_enumerator,
     is_incorrigible,
@@ -136,8 +136,10 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     failure means the peeling fixpoint is nonempty; optimal failure
     means the erasure set is incorrigible.  Both are tested once per
     chunk, on its distinct masks only.  Works for any n <= 64; above
-    the subset enumeration guard the analytic and dominant-term fields
-    are None, with the reason in ``notes``.
+    the subset enumeration guard the analytic fields and the iterative
+    dominant term are None, with the reason in ``notes``.  The optimal
+    dominant term A_d eps^d needs only the 2**k codewords, so it is None
+    only when k exceeds the codeword enumeration limit as well.
     """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
@@ -159,18 +161,21 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
 
     analytic_opt = analytic_it = dominant_opt = dominant_it = None
     notes: tuple[tuple[str, str], ...] = ()
-    try:
-        _check_enumeration_guard(n)
-    except ValueError as exc:
-        notes = (("analytic", f"omitted: {exc}"), ("dominant_terms", f"omitted: {exc}"))
-    else:
+    refusal = _enumeration_refusal(n)
+    if refusal is None or code.k <= WEIGHT_ENUM_LIMIT:  # under the guard, k > limit raises
+        d = code.minimum_distance
+        dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
+    if refusal is None:
         analytic_opt = analytic_pud(incorrigible_enumerator(code), cfg.epsilon, n)
         h_profile = profile(h)
         analytic_it = analytic_pud(h_profile.dead_end, cfg.epsilon, n)
-        d = code.minimum_distance
         s = h_profile.stopping_distance
-        dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
         dominant_it = 0.0 if s > n else h_profile.stopping[s] * cfg.epsilon**s
+    else:
+        dominant_note = f"iterative omitted: {refusal}"
+        if dominant_opt is None:
+            dominant_note = f"omitted: {refusal}; k={code.k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}"
+        notes = (("analytic", f"omitted: {refusal}"), ("dominant_terms", dominant_note))
 
     def halfwidth(fails: int) -> float:
         p = fails / cfg.trials

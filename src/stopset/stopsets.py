@@ -2,78 +2,118 @@
 
 Stopping and dead-end sets are properties of a parity-check matrix;
 incorrigible sets are properties of the code alone.  All five
-enumerators count sets over the 2**n erasure subsets with one kernel:
-a bool flag per subset, its upward closure over the subset lattice (an
-OR-zeta transform), and a size histogram.  D(x) is the closure of the
+enumerators count sets over the 2**n erasure subsets with one kernel on
+packed bits: word q of a flag array holds subsets 64q..64q+63, the low
+six coordinates indexing the bit and the rest the word.  Flags are
+built a word at a time, closed upward over the subset lattice (an
+OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
 stopping set inside it; I(x) is the closure of the nonzero codeword
 supports.  Subset enumeration is capped at n <= 28 by default (override
-with the STOPSET_MAX_N env var).
+with the STOPSET_MAX_N env var); the flags then take 2**(n-3) bytes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .codes import Enumerator, LinearCode, _span_array
-from .gf2 import BitMatrix, _column_mask, rank, select_columns, transpose
+from .gf2 import BitMatrix, _column_mask, _gray_iter, rank, select_columns, transpose
 
 _DEFAULT_MAX_N = 28
-_CHUNK = 1 << 20
+_SCATTER_BITS = 16  # codewords set per scatter call: 2**16, about 1.5 MB of temporaries
 
 
 def _enumeration_limit() -> int:
-    env = os.environ.get("STOPSET_MAX_N")
-    return int(env) if env else _DEFAULT_MAX_N
+    env = os.environ.get("STOPSET_MAX_N") or str(_DEFAULT_MAX_N)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"STOPSET_MAX_N={env!r} is not a positive integer")
+    return int(env)
 
 
-def _check_enumeration_guard(n: int) -> None:
+def _enumeration_refusal(n: int) -> Optional[str]:
+    """Why the 2**n subsets may not be enumerated; None if they may."""
     limit = _enumeration_limit()
     if n > limit:
-        raise ValueError(f"n={n} exceeds subset enumeration guard {limit} (set STOPSET_MAX_N to override)")
+        return f"n={n} exceeds subset enumeration guard {limit} (set STOPSET_MAX_N to override)"
+    return None
 
 
 def _mask_dtype(n: int):
     return np.uint32 if n <= 32 else np.uint64
 
 
-def _lattice(n: int, dtype=bool) -> np.ndarray:
-    """A zeroed array indexed by all 2**n subset masks, behind the guard."""
-    _check_enumeration_guard(n)
-    return np.zeros(1 << n, dtype=dtype)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bool array with a last axis of 64 -> uint64 words, bit b from bits[..., b]."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")[..., 0].astype(np.uint64)
 
 
-def _chunks(n: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Consecutive (index slice, subset masks) pieces covering all 2**n masks."""
-    dtype = _mask_dtype(n)
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        yield slice(start, stop), np.arange(start, stop, dtype=dtype)
+_LOW = np.arange(64)  # the low part b of subset 64q+b, i.e. its coordinates 0..5
+_HAS = _pack(_LOW >> np.arange(6)[:, None] & 1 == 1)  # [j]: the low parts holding coordinate j
+_OF_SIZE = _pack(np.bitwise_count(_LOW) == np.arange(7)[:, None])  # [k]: the low parts of size k
+_MEETS = np.bitwise_count(_LOW[:, None] & _LOW)  # [t, b]: |t & b|
+# [t, c]: the low parts b with |t & b| + c != 1, for c = 0, 1 and c >= 2
+_MISSES = np.stack([_pack(_MEETS != 1), _pack(_MEETS != 0), np.full(64, ~np.uint64(0))], axis=1)
 
 
-def _upward_closure(g: np.ndarray, n: int) -> np.ndarray:
-    """In place, g[m] becomes the OR of g[s] over all subsets s of m.
+def _packed(n: int, fill: bool = False) -> np.ndarray:
+    """Flags of all 2**n subsets, all clear or all set, behind the guard.
 
-    On bool flags this marks every superset of a marked subset; on mask
-    arrays it ORs together the masks stored at the subsets.
+    For n < 6 the one word is partial: no kernel pass sets bit 2**n or above.
     """
-    for j in range(n):
-        view = g.reshape(-1, 2, 1 << j)
-        view[:, 1, :] |= view[:, 0, :]
-    return g
+    refusal = _enumeration_refusal(n)
+    if refusal:
+        raise ValueError(refusal)
+    return np.full(1 << max(n - 6, 0), (1 << (1 << min(n, 6))) - 1 if fill else 0, dtype=np.uint64)
 
 
-def _histogram(flags: np.ndarray, n: int) -> Enumerator:
-    """Number of flagged subsets of each size."""
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for part, masks in _chunks(n):
-        counts += np.bincount(np.bitwise_count(masks[flags[part]]), minlength=n + 1)
-    return Enumerator(tuple(int(c) for c in counts))
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Packed flags -> one bool per subset mask, 2**n of them."""
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return bits[: 1 << n].view(bool)
+
+
+def _upward_closure(words: np.ndarray, coords: Iterable[int]) -> np.ndarray:
+    """In place, flag m + {j} wherever m is flagged, for each j in coords.
+
+    Over range(n) this flags every superset of a flagged subset (an
+    OR-zeta transform).  Coordinate j < 6 lives inside the word: a shift
+    by 2**j moves each subset onto the subset with j added.  Coordinate
+    j >= 6 pairs whole words: those whose index holds j take the OR of
+    their partner.
+    """
+    for j in coords:
+        if j < 6:
+            moved = words << np.uint64(1 << j)
+            moved &= _HAS[j]
+            words |= moved
+            del moved  # before the next pass allocates its own
+        else:
+            pairs = words.reshape(-1, 2, 1 << (j - 6))
+            pairs[:, 1] |= pairs[:, 0]
+    return words
+
+
+def _histogram(words: np.ndarray, n: int) -> Enumerator:
+    """Number of flagged subsets of each size, in exact integers.
+
+    poly[i, q] counts the flagged subsets of size i in words q.  Folding
+    in the top bit of the word index adds the upper half, one size up,
+    to the lower half.
+    """
+    low = min(n, 6)
+    poly = np.stack([np.bitwise_count(words & m) for m in _OF_SIZE[: low + 1]])
+    for covered in range(low + 1, n + 1):
+        half = poly.reshape(poly.shape[0], 2, -1)
+        poly = np.zeros((covered + 1, half.shape[2]), np.min_scalar_type(math.comb(covered, covered // 2)))
+        poly[:-1] = half[:, 0]
+        poly[1:] += half[:, 1]
+    return Enumerator(tuple(int(c) for c in poly[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +229,18 @@ class StoppingProfile:
 
 
 def _stopping_flags(h: BitMatrix) -> np.ndarray:
-    """flags[m] is True iff no row of H meets the subset m exactly once."""
-    rows = [_mask_dtype(h.n)(r) for r in h.rows]
-    flags = _lattice(h.n)
-    for part, masks in _chunks(h.n):
-        ok = flags[part]
-        ok[:] = True
-        for row in rows:
-            ok &= np.bitwise_count(masks & row) != 1
+    """Packed flags of the subsets that no row of H meets exactly once.
+
+    A row meets subset 64q+b in |q & row_high| + |b & row_low| places,
+    so per word it clears one of three fixed 64-bit masks of low parts,
+    picked by c = min(|q & row_high|, 2).
+    """
+    flags = _packed(h.n, fill=True)
+    high = _mask_dtype(max(h.n - 6, 0))
+    words = np.arange(flags.size, dtype=high)
+    for row in h.rows:
+        c = np.bitwise_count(words & high(row >> 6))
+        flags &= _MISSES[row & 63][np.minimum(c, 2, out=c)]
     return flags
 
 
@@ -205,8 +249,8 @@ def _dead_end(stop_flags: np.ndarray, n: int) -> Enumerator:
 
     Overwrites the flags with their closure.
     """
-    stop_flags[0] = False
-    return _histogram(_upward_closure(stop_flags, n), n)
+    stop_flags[0] &= ~np.uint64(1)  # the empty set
+    return _histogram(_upward_closure(stop_flags, range(n)), n)
 
 
 def _first_nonempty(s: Enumerator) -> int:
@@ -234,13 +278,25 @@ def dead_end_enumerator(h: BitMatrix) -> Enumerator:
     return _dead_end(_stopping_flags(h), h.n)
 
 
+def _support_flags(code: LinearCode) -> np.ndarray:
+    """Packed flags of the nonzero-codeword supports.
+
+    The codewords are set one coset of a 2**_SCATTER_BITS subcode at a
+    time, so memory stays bounded for any k.
+    """
+    flags = _packed(code.n)
+    rows = code.generator_basis.rows
+    block = _span_array(rows[:_SCATTER_BITS], np.uint64)
+    for coset in _gray_iter(rows[_SCATTER_BITS:]):
+        words = block ^ np.uint64(coset)
+        np.bitwise_or.at(flags, words >> np.uint64(6), np.uint64(1) << (words & np.uint64(63)))
+    flags[0] &= ~np.uint64(1)  # the zero codeword
+    return flags
+
+
 def _incorrigible_flags(code: LinearCode) -> np.ndarray:
-    """flags[m] is True iff the subset m contains a nonzero-codeword support."""
-    n = code.n
-    flags = _lattice(n)
-    flags[_span_array(code.generator_basis.rows, _mask_dtype(n))] = True
-    flags[0] = False  # the zero codeword does not count
-    return _upward_closure(flags, n)
+    """Packed flags of the subsets that contain a nonzero-codeword support."""
+    return _upward_closure(_support_flags(code), range(code.n))
 
 
 def incorrigible_enumerator(code: LinearCode) -> Enumerator:
@@ -259,22 +315,38 @@ def profile(h: BitMatrix) -> StoppingProfile:
 
 
 def _optimal_flags(code: LinearCode) -> np.ndarray:
-    """flags[m] is True iff the subset m is stopping for the complete matrix.
+    """Packed flags of the subsets that are stopping for the complete matrix.
 
-    That holds iff m is the union of the codeword supports it contains.
-    The union of the supports inside every subset comes from one OR-zeta
-    transform of the 2**k supports, so neither the complete matrix nor
-    its 2**(n-k) rows are ever formed.
+    That holds iff m is the union of the codeword supports it contains:
+    every coordinate j of m lies in a support s inside m.  Such an s
+    agrees with m on j, so m holds one iff the closure of all supports
+    over every coordinate but j flags m.  Neither the complete matrix
+    nor a mask word per subset is ever formed.
     """
-    n = code.n
-    union = _lattice(n, _mask_dtype(n))
-    supports = _span_array(code.generator_basis.rows, union.dtype.type)
-    union[supports] = supports
-    _upward_closure(union, n)
-    flags = _lattice(n)
-    for part, masks in _chunks(n):
-        flags[part] = union[part] == masks
+    flags = _packed(code.n, fill=True)
+    _keep_covered(flags, _support_flags(code), range(code.n))
     return flags
+
+
+def _keep_covered(flags: np.ndarray, words: np.ndarray, coords: range) -> None:
+    """Clear the flag of each set holding a j in coords that words,
+    closed over every coordinate but j, does not flag.
+
+    words arrive closed over every coordinate outside coords.  Each half
+    of coords is closed over the other half and recursed into, so the n
+    leave-one-out closures take about n*log2(n) passes, with one copy of
+    words live per level.
+    """
+    if len(coords) == 1:
+        j = coords[0]
+        if j < 6:
+            flags &= words | ~_HAS[j]
+        else:  # only the words whose index holds j
+            flags.reshape(-1, 2, 1 << (j - 6))[:, 1] &= words.reshape(-1, 2, 1 << (j - 6))[:, 1]
+        return
+    first, second = coords[: len(coords) // 2], coords[len(coords) // 2 :]
+    _keep_covered(flags, _upward_closure(words.copy(), second), first)
+    _keep_covered(flags, _upward_closure(words, first), second)
 
 
 def optimal_enumerators(code: LinearCode) -> StoppingProfile:

@@ -122,7 +122,8 @@ def test_simulate_above_enumeration_guard(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["analytic"] == {"optimal": None, "iterative": None}
-    assert obj["dominant_terms"] == {"optimal": None, "iterative": None}
+    assert obj["dominant_terms"]["iterative"] is None
+    assert obj["dominant_terms"]["optimal"] > 0  # A_d eps^d, from the 2^16 codewords
     assert set(obj["notes"]) == {"analytic", "dominant_terms"}
     code, out = run(capsys, argv + ["--pretty"])
     assert code == 0
@@ -173,6 +174,19 @@ def test_construct_search_above_enumeration_guard(capsys, tmp_path, monkeypatch)
     path.write_text(format_matrix(BitMatrix(tuple(0x7F << (7 * i) for i in range(4)), 29)))
     code, out = run(capsys, ["construct", "search", "--code", str(path), "--predicate", "S=S*"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--matrix", "H_8"],
+    ["simulate", "--code", "rm_8_4_4", "--matrix", "H_8", "--epsilon", "0.3", "--trials", "10", "--seed", "1"],
+])
+def test_malformed_enumeration_limit_is_input_error(capsys, monkeypatch, value, command):
+    monkeypatch.setenv("STOPSET_MAX_N", value)
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"STOPSET_MAX_N={value!r} is not a positive integer" in captured.err
 
 
 def test_construct_enumerate_round_trip(capsys, tmp_path):

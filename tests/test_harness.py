@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from stopset.codes import Enumerator, catalog, rm_8_4_4
+from stopset.codes import WEIGHT_ENUM_LIMIT, Enumerator, catalog, rm_8_4_4
 from stopset.harness import (
     ChannelConfig,
     _erasure_masks,
@@ -116,13 +116,25 @@ def test_monte_carlo_chunk_boundary_recount():
 def test_monte_carlo_above_enumeration_guard():
     code = random_code(random.Random(32), 32, 16)
     rep = monte_carlo(code, code.parity_basis, ChannelConfig(epsilon=0.2, trials=3000, seed=4))
-    assert (rep.analytic_opt, rep.analytic_it, rep.dominant_opt, rep.dominant_it) == (None,) * 4
+    assert (rep.analytic_opt, rep.analytic_it, rep.dominant_it) == (None,) * 3
+    d = code.minimum_distance  # A_d eps^d needs only the 2^16 codewords
+    assert rep.dominant_opt == code.weight_enumerator[d] * 0.2**d > 0
     notes = dict(rep.notes)
     assert set(notes) == {"analytic", "dominant_terms"} and "guard 28" in notes["analytic"]
+    assert notes["dominant_terms"].startswith("iterative omitted: n=32")
     assert rep.opt_failures <= rep.it_failures
     obj = json.loads(json.dumps(rep.to_json_obj()))
     assert obj["analytic"] == {"optimal": None, "iterative": None}
     assert obj["notes"] == notes
+
+
+def test_monte_carlo_above_both_guards():
+    code = random_code(random.Random(64), 64, 30)
+    assert code.k > WEIGHT_ENUM_LIMIT
+    rep = monte_carlo(code, code.parity_basis, ChannelConfig(epsilon=0.1, trials=500, seed=2))
+    assert (rep.analytic_opt, rep.analytic_it, rep.dominant_opt, rep.dominant_it) == (None,) * 4
+    note = dict(rep.notes)["dominant_terms"]
+    assert note.startswith("omitted: n=64") and f"k={code.k} exceeds codeword enumeration limit" in note
 
 
 def test_report_json_omits_empty_notes():

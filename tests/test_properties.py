@@ -7,6 +7,7 @@ helpers, seeded by hypothesis.  Examples are derandomized so the suite
 stays deterministic.
 """
 
+import math
 import random
 
 import numpy as np
@@ -17,9 +18,14 @@ from hypothesis import strategies as st
 from stopset.codes import LinearCode, full_code, hamming_7_4, repetition, zero_code
 from stopset.construct import SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.gf2 import select_columns
+from stopset import stopsets
 from stopset.stopsets import (
+    _histogram,
     _incorrigible_flags,
     _optimal_flags,
+    _packed,
+    _stopping_flags,
+    _unpack,
     dead_end_enumerator,
     incorrigible_enumerator,
     is_incorrigible,
@@ -86,8 +92,49 @@ def test_flags_match_oracles_mask_by_mask(drawn):
     _, code = drawn
     h_star = complete_matrix(code)
     everything = range(1 << code.n)
-    assert _incorrigible_flags(code).tolist() == [bool(contained_supports(code, m)) for m in everything]
-    assert _optimal_flags(code).tolist() == [oracle_is_stopping(h_star, m) for m in everything]
+    assert _unpack(_incorrigible_flags(code), code.n).tolist() == [bool(contained_supports(code, m)) for m in everything]
+    assert _unpack(_optimal_flags(code), code.n).tolist() == [oracle_is_stopping(h_star, m) for m in everything]
+
+
+def _check_against_oracles(code, h):
+    """S, D, I, S* and D* equal the oracles, and no flag lands past bit 2**n - 1."""
+    n = code.n
+    assert (stopping_set_enumerator(h), dead_end_enumerator(h)) == (
+        oracle_stopping_enumerator(h),
+        oracle_dead_end_enumerator(h),
+    )
+    assert incorrigible_enumerator(code) == oracle_incorrigible_enumerator(code)
+    h_star = complete_matrix(code)
+    star = optimal_enumerators(code)
+    assert (star.stopping, star.dead_end) == (oracle_stopping_enumerator(h_star), oracle_dead_end_enumerator(h_star))
+    for flags in (_stopping_flags(h), _incorrigible_flags(code), _optimal_flags(code)):
+        assert flags.size == 1 << max(n - 6, 0)
+        if n < 6:
+            assert int(flags[0]) >> (1 << n) == 0
+
+
+@pytest.mark.parametrize("scatter_bits", [stopsets._SCATTER_BITS, 1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_word_boundaries_random_codes(n, scatter_bits, monkeypatch):
+    # n < 6 fills part of one word, n = 6 exactly one, n = 7 and 8 two and four;
+    # scatter_bits 1 sets the codeword supports over many cosets, as for k > 16
+    monkeypatch.setattr(stopsets, "_SCATTER_BITS", scatter_bits)
+    rng = random.Random(n)
+    for r in range(n + 1):
+        code = random_code(rng, n, r)
+        _check_against_oracles(code, random_dual_spanning_matrix(rng, code, rng.randrange(3)))
+
+
+@pytest.mark.parametrize("make", [full_code, zero_code, repetition])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_word_boundaries_special_codes(make, n):
+    code = make(n)
+    _check_against_oracles(code, code.parity_basis)
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 20])
+def test_histogram_of_all_sets_is_binomial(n):
+    assert _histogram(_packed(n, fill=True), n).coefficients == tuple(math.comb(n, i) for i in range(n + 1))
 
 
 def _check_all_masks(code):
