@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import construct as construct_mod
-from .codes import LinearCode, catalog
+from .codes import LinearCode, UnknownCatalogName, catalog
 from .decoder import (
     ChannelModelViolation,
     ReceivedWord,
@@ -31,7 +31,9 @@ def _load(spec: str, kind: type):
     """A --matrix or --code argument: a parity-check file or a catalog name.
 
     Returns a ``kind`` (BitMatrix or LinearCode): a code stands for its
-    parity-check basis, a matrix for the code it defines.
+    parity-check basis, a matrix for the code it defines.  A catalog
+    entry with a bad parameter, such as ``repetition(0)``, keeps the
+    catalog's own message.
     """
     path = Path(spec)
     if path.is_file():
@@ -39,8 +41,8 @@ def _load(spec: str, kind: type):
     else:
         try:
             obj = catalog(spec)
-        except ValueError:
-            raise ValueError(f"{spec!r} is neither a readable file nor a catalog name")
+        except UnknownCatalogName:
+            raise ValueError(f"{spec!r} is neither a readable file nor a catalog name") from None
     if isinstance(obj, kind):
         return obj
     return obj.parity_basis if kind is BitMatrix else LinearCode.from_parity_check(obj)

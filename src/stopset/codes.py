@@ -243,6 +243,10 @@ _PARAM_CODES = {
 }
 
 
+class UnknownCatalogName(ValueError):
+    """The name matches no catalog entry (as opposed to a bad parameter)."""
+
+
 def catalog(name: str) -> LinearCode | BitMatrix:
     """Look up a named code or benchmark matrix.
 
@@ -261,4 +265,4 @@ def catalog(name: str) -> LinearCode | BitMatrix:
         return BitMatrix(h8.rows[: int(m.group(1))], 8)
     if name == "H_14":
         return _h14_matrix()
-    raise ValueError(f"unknown catalog name {name!r}")
+    raise UnknownCatalogName(f"unknown catalog name {name!r}")

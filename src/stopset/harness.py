@@ -5,22 +5,38 @@ Simulation randomness is counter-based (Philox-4x64-10 keyed by the
 seed): trials are grouped in fixed blocks of 4096 and block b draws from
 counter (0, 0, b, 0), with trial t consuming rows t mod 4096 of its
 block.  Every trial's erasure pattern is therefore a pure function of
-(seed, trial index), independent of how the work is partitioned.
+(seed, trial index), independent of how the work is partitioned.  The
+erasures are read by thresholding the generator's raw 64-bit words,
+which selects exactly the coordinates whose uniform double falls below
+epsilon.
+
+The peeling decoder fails on an erasure set exactly when it is a
+dead-end set, the optimal decoder exactly when it is incorrigible.
+Under the subset enumeration guard the simulation therefore builds the
+packed D and I flags once (they also give the analytic rates) and reads
+each trial's two outcomes as two bit lookups.  Above the guard it peels
+and eliminates each chunk's distinct masks instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .codes import WEIGHT_ENUM_LIMIT, Enumerator, LinearCode, catalog, rm_8_4_4
 from .decoder import is_parity_check_of
 from .gf2 import BitMatrix
 from .stopsets import (
     _enumeration_refusal,
+    _histogram,
+    _incorrigible_flags,
+    _pack,
+    _profile,
+    _stopping_flags,
     batch_peel_residuals,
     incorrigible_enumerator,
     is_incorrigible,
@@ -110,22 +126,34 @@ class PerformanceReport:
 
 
 def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> np.ndarray:
-    """Erasure masks for trials [start, stop), per the pinned stream."""
+    """Erasure masks for trials [start, stop), per the pinned stream.
+
+    Coordinate j of a trial is erased iff the uniform double u drawn for
+    it is below epsilon.  The generator forms u = (w >> 11) * 2**-53 from
+    a raw word w, so u < epsilon iff the integer w >> 11 is below the
+    real epsilon * 2**53 (exact: a power-of-two scaling), iff it is below
+    T = ceil(epsilon * 2**53), iff w < T << 11, the low 11 bits of w
+    never reaching the next multiple of 2**11.  For epsilon < 1,
+    T <= 2**53 - 1, so the threshold fits in 64 bits.  Erased coordinate
+    j sets bit j of the mask.
+    """
+    threshold = np.uint64(math.ceil(epsilon * 2.0**53) << 11)
     out = np.empty(stop - start, dtype=np.uint64)
+    erased = np.zeros((_TRIAL_BLOCK, 64), dtype=bool)
     filled = 0
-    first_block = start // _TRIAL_BLOCK
-    last_block = (stop - 1) // _TRIAL_BLOCK
-    weights = (np.uint64(1) << np.arange(n, dtype=np.uint64))
-    for b in range(first_block, last_block + 1):
-        rng = Generator(Philox(key=seed, counter=[0, 0, b, 0]))
-        u = rng.random((_TRIAL_BLOCK, n))
-        lo = max(start, b * _TRIAL_BLOCK) - b * _TRIAL_BLOCK
-        hi = min(stop, (b + 1) * _TRIAL_BLOCK) - b * _TRIAL_BLOCK
-        erased = u[lo:hi] < epsilon
-        masks = (erased * weights).sum(axis=1, dtype=np.uint64)
-        out[filled : filled + hi - lo] = masks
+    for b in range(start // _TRIAL_BLOCK, (stop - 1) // _TRIAL_BLOCK + 1):
+        raw = Philox(key=seed, counter=[0, 0, b, 0]).random_raw((_TRIAL_BLOCK, n))
+        lo = max(start - b * _TRIAL_BLOCK, 0)
+        hi = min(stop - b * _TRIAL_BLOCK, _TRIAL_BLOCK)
+        np.less(raw[lo:hi], threshold, out=erased[: hi - lo, :n])
+        out[filled : filled + hi - lo] = _pack(erased[: hi - lo])
         filled += hi - lo
     return out
+
+
+def _flagged(flags: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The bit of each mask m in packed subset flags: word m >> 6, bit m & 63."""
+    return (flags[masks >> np.uint64(6)] >> (masks & np.uint64(63))) & np.uint64(1) != 0
 
 
 def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> PerformanceReport:
@@ -133,31 +161,22 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
 
     Transmits the zero codeword: by linearity the failure events depend
     only on the erasure set, never on the transmitted word.  Iterative
-    failure means the peeling fixpoint is nonempty; optimal failure
-    means the erasure set is incorrigible.  Both are tested once per
-    chunk, on its distinct masks only.  Works for any n <= 64; above
-    the subset enumeration guard the analytic fields and the iterative
-    dominant term are None, with the reason in ``notes``.  The optimal
-    dominant term A_d eps^d needs only the 2**k codewords, so it is None
-    only when k exceeds the codeword enumeration limit as well.
+    failure means the erasure set is a dead-end set (its peeling fixpoint
+    is nonempty); optimal failure means it is incorrigible.  Under the
+    subset enumeration guard both are read per trial from the packed D
+    and I flags, which also give the analytic rates.  Above it each
+    chunk of 2**16 trials is classified on its distinct masks only: a
+    batched peel and a batched XOR-basis rank test.  Trials come from
+    the pinned stream of _erasure_masks either way.
+
+    Works for any n <= 64; above the guard the analytic fields and the
+    iterative dominant term are None, with the reason in ``notes``.  The
+    optimal dominant term A_d eps^d needs only the 2**k codewords, so it
+    is None only when k exceeds the codeword enumeration limit as well.
     """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
     n = code.n
-
-    it_failures = 0
-    opt_failures = 0
-    it_only = 0
-    chunk = 1 << 16
-    for start in range(0, cfg.trials, chunk):
-        stop = min(start + chunk, cfg.trials)
-        masks = _erasure_masks(cfg.seed, start, stop, n, cfg.epsilon)
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        it_fail = (batch_peel_residuals(h, uniq) != 0)[inverse]
-        opt_fail = is_incorrigible(code, uniq)[inverse]
-        it_failures += int(it_fail.sum())
-        opt_failures += int(opt_fail.sum())
-        it_only += int((it_fail & ~opt_fail).sum())
 
     analytic_opt = analytic_it = dominant_opt = dominant_it = None
     notes: tuple[tuple[str, str], ...] = ()
@@ -166,16 +185,37 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
         d = code.minimum_distance
         dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
     if refusal is None:
-        analytic_opt = analytic_pud(incorrigible_enumerator(code), cfg.epsilon, n)
-        h_profile = profile(h)
+        opt_flags = _incorrigible_flags(code)
+        analytic_opt = analytic_pud(_histogram(opt_flags, n), cfg.epsilon, n)
+        it_flags = _stopping_flags(h)
+        h_profile = _profile(it_flags, n)  # closes it_flags into the dead-end flags
         analytic_it = analytic_pud(h_profile.dead_end, cfg.epsilon, n)
         s = h_profile.stopping_distance
         dominant_it = 0.0 if s > n else h_profile.stopping[s] * cfg.epsilon**s
+
+        def classify(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _flagged(it_flags, masks), _flagged(opt_flags, masks)
+
     else:
         dominant_note = f"iterative omitted: {refusal}"
         if dominant_opt is None:
             dominant_note = f"omitted: {refusal}; k={code.k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}"
         notes = (("analytic", f"omitted: {refusal}"), ("dominant_terms", dominant_note))
+
+        def classify(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            uniq, inverse = np.unique(masks, return_inverse=True)
+            return (batch_peel_residuals(h, uniq) != 0)[inverse], is_incorrigible(code, uniq)[inverse]
+
+    it_failures = 0
+    opt_failures = 0
+    it_only = 0
+    chunk = 1 << 16
+    for start in range(0, cfg.trials, chunk):
+        masks = _erasure_masks(cfg.seed, start, min(start + chunk, cfg.trials), n, cfg.epsilon)
+        it_fail, opt_fail = classify(masks)
+        it_failures += int(np.count_nonzero(it_fail))
+        opt_failures += int(np.count_nonzero(opt_fail))
+        it_only += int(np.count_nonzero(it_fail & ~opt_fail))
 
     def halfwidth(fails: int) -> float:
         p = fails / cfg.trials

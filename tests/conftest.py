@@ -13,6 +13,9 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
+from numpy.random import Generator, Philox
+
 from stopset.codes import Enumerator, LinearCode
 from stopset.gf2 import BitMatrix, rank, row_space_iter
 from stopset.stopsets import dead_end_enumerator, stopping_distance, stopping_set_enumerator
@@ -136,6 +139,23 @@ def oracle_minimal_matrix_search(code: LinearCode, predicate: str, max_rows=None
             if rank(h) == need and accept(h):
                 return h
     return None
+
+
+def oracle_erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float):
+    """Erasure masks for trials [start, stop) from the stream's definition:
+    block b of 4096 trials draws uniform doubles from Philox counter
+    (0, 0, b, 0), one row per trial, and coordinate j is erased iff its
+    double is below epsilon."""
+    out = np.empty(stop - start, dtype=np.uint64)
+    filled = 0
+    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    for b in range(start // 4096, (stop - 1) // 4096 + 1):
+        u = Generator(Philox(key=seed, counter=[0, 0, b, 0])).random((4096, n))
+        lo = max(start, b * 4096) - b * 4096
+        hi = min(stop, (b + 1) * 4096) - b * 4096
+        out[filled : filled + hi - lo] = ((u[lo:hi] < epsilon) * weights).sum(axis=1, dtype=np.uint64)
+        filled += hi - lo
+    return out
 
 
 def contained_supports(code: LinearCode, mask: int) -> list[int]:

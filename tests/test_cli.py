@@ -242,6 +242,19 @@ def test_unknown_spec_is_input_error(capsys, flag):
     assert "is neither a readable file nor a catalog name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--code"])
+@pytest.mark.parametrize("spec, message", [
+    ("repetition(0)", "repetition length must be >= 1"),
+    ("repetition(65)", "column count 65 outside 0..64"),
+    ("full(70)", "column count 70 outside 0..64"),
+])
+def test_catalog_range_error_keeps_its_message(capsys, flag, spec, message):
+    code = main(["enumerate", flag, spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "neither a readable file" not in err
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

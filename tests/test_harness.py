@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stopset import harness
 from stopset.codes import WEIGHT_ENUM_LIMIT, Enumerator, catalog, rm_8_4_4
 from stopset.harness import (
     ChannelConfig,
@@ -15,7 +18,7 @@ from stopset.harness import (
 )
 from stopset.stopsets import dead_end_enumerator, incorrigible_enumerator, is_incorrigible, peel_closure
 
-from conftest import random_code, random_code_where, random_dual_spanning_matrix
+from conftest import oracle_erasure_masks, random_code, random_code_where, random_dual_spanning_matrix
 
 RM = rm_8_4_4()
 
@@ -92,6 +95,79 @@ def test_erasure_stream_golden():
     # trials 4094..4097 straddle the boundary between blocks 0 and 1
     whole = _erasure_masks(1, 0, 8192, 64, 0.5)
     assert np.array_equal(_erasure_masks(1, 4094, 4098, 64, 0.5), whole[4094:4098])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 33, 63, 64])
+def test_erasure_stream_matches_float_definition(n):
+    # the raw-word threshold against u < epsilon on the generator's doubles
+    for epsilon in (5e-324, 2.0**-53, 0.1, math.nextafter(0.3, 0), math.nextafter(0.3, 1), 0.5, 1 - 2.0**-53):
+        for start, stop in ((0, 5), (4090, 4100), (1000, 9000)):
+            assert np.array_equal(
+                _erasure_masks(5, start, stop, n, epsilon), oracle_erasure_masks(5, start, stop, n, epsilon)
+            ), (epsilon, start, stop)
+
+
+def test_erasure_threshold_at_the_boundary(monkeypatch):
+    # raw words on both sides of each threshold: a coordinate is erased
+    # iff the generator's double (w >> 11) * 2^-53 is below epsilon
+    for epsilon in (5e-324, 2.0**-53, 0.1, math.nextafter(0.3, 0), 0.5, 1 - 2.0**-53):
+        t = math.ceil(epsilon * 2.0**53)
+        words = np.array([(t - 1) << 11, (t << 11) - 1, t << 11, (t << 11) | 0x7FF], dtype=np.uint64)
+
+        class RawWords:  # stands in for Philox: every row of a block is `words`
+            def __init__(self, key, counter):
+                pass
+
+            def random_raw(self, size):
+                return np.resize(words, size)
+
+        monkeypatch.setattr(harness, "Philox", RawWords)
+        below = (words >> np.uint64(11)).astype(float) * 2.0**-53 < epsilon
+        assert _erasure_masks(0, 0, 1, 4, epsilon).tolist() == [int(below @ (1 << np.arange(4)))], epsilon
+
+
+def _assert_classifiers_agree(code, h, cfg):
+    """The flag lookup (n under the guard) and the peel and rank path
+    (guard set below n) count the same failures; the lookup calls
+    neither per-mask test."""
+
+    def forbidden(*args):
+        raise AssertionError("per-mask classifier called under the guard")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STOPSET_MAX_N", str(code.n))
+        mp.setattr(harness, "batch_peel_residuals", forbidden)
+        mp.setattr(harness, "is_incorrigible", forbidden)
+        lookup = monte_carlo(code, h, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STOPSET_MAX_N", str(code.n - 1))
+        peel = monte_carlo(code, h, cfg)
+    assert lookup.analytic_it is not None and peel.analytic_it is None
+    counts = [(r.it_failures, r.opt_failures, r.it_only_failures) for r in (lookup, peel)]
+    assert counts[0] == counts[1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(2, 12), st.integers(0, 13), st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.05, 0.3, 0.5, 0.8]))
+def test_lookup_and_peel_classifiers_agree(n, redundancy, extra_rows, seed, epsilon):
+    rng = random.Random(seed)
+    code = random_code(rng, n, redundancy)
+    h = random_dual_spanning_matrix(rng, code, extra_rows)  # redundant rows beyond the basis
+    _assert_classifiers_agree(code, h, ChannelConfig(epsilon, 2000, seed))
+
+
+@pytest.mark.parametrize("name, matrix, trials", [
+    ("full(5)", None, 3000),
+    ("zero(6)", None, 3000),
+    ("repetition(7)", None, 3000),
+    ("repetition(2)", None, 3000),
+    ("rm_8_4_4", "H_4", 70_000),  # crosses the first 2^16-trial chunk
+])
+def test_lookup_and_peel_classifiers_agree_on_catalog_codes(name, matrix, trials):
+    code = catalog(name)
+    h = catalog(matrix) if matrix else code.parity_basis
+    _assert_classifiers_agree(code, h, ChannelConfig(0.4, trials, 77))
 
 
 def test_monte_carlo_chunk_boundary_recount():
