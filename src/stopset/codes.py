@@ -11,14 +11,14 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .gf2 import BitMatrix, _gray_iter, null_space_basis, parse_matrix, row_space_iter, rref
 
 WEIGHT_ENUM_LIMIT = 28  # enumerating 2**k codewords
-_DOUBLING_BITS = 20  # per-chunk codeword array size for counting
+_SPAN_BLOCK_BITS = 16  # span words per block: 2**16, 0.5 MB
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,25 @@ class Enumerator:
         }
 
 
-def _span_array(rows: Sequence[int], dtype) -> np.ndarray:
-    """All 2**len(rows) GF(2) combinations of the rows, by repeated doubling."""
-    span = np.zeros(1, dtype=dtype)
-    for row in rows:
-        span = np.concatenate([span, span ^ dtype(row)])
-    return span
+def _span_blocks(rows: Sequence[int]) -> Iterator[np.ndarray]:
+    """All 2**len(rows) GF(2) combinations of independent rows, as uint64 blocks.
+
+    The first _SPAN_BLOCK_BITS rows span one block, built by repeated
+    doubling; each block yielded is that sub-span shifted by one coset
+    of the remaining rows, the cosets taken in Gray-code order.
+    """
+    block = np.zeros(1, dtype=np.uint64)
+    for row in rows[:_SPAN_BLOCK_BITS]:
+        block = np.concatenate([block, block ^ np.uint64(row)])
+    for coset in _gray_iter(rows[_SPAN_BLOCK_BITS:]):
+        yield block ^ np.uint64(coset)
 
 
-def _span_weight_counts(basis_rows: Sequence[int], n: int) -> list[int]:
-    """Weight histogram of the 2**len(basis_rows) span elements."""
-    block = _span_array(basis_rows[:_DOUBLING_BITS], np.uint64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for prefix in _gray_iter(basis_rows[_DOUBLING_BITS:]):
-        counts += np.bincount(np.bitwise_count(block ^ np.uint64(prefix)), minlength=n + 1)
-    return [int(c) for c in counts]
+def _codeword_refusal(k: int) -> Optional[str]:
+    """Why the 2**k codewords may not be enumerated; None if they may."""
+    if k > WEIGHT_ENUM_LIMIT:
+        return f"k={k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}"
+    return None
 
 
 class LinearCode:
@@ -122,16 +126,21 @@ class LinearCode:
 
     def codewords(self) -> Iterator[int]:
         """All 2**k codewords (Gray-code order, starts at zero)."""
-        if self.k > WEIGHT_ENUM_LIMIT:
-            raise ValueError(f"k={self.k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}")
+        if refusal := _codeword_refusal(self.k):
+            raise ValueError(refusal)
         return _gray_iter(self.generator_basis.rows)
 
     @cached_property
     def weight_enumerator(self) -> Enumerator:
-        """A(x): A_i = number of codewords of weight i."""
-        if self.k > WEIGHT_ENUM_LIMIT:
-            raise ValueError(f"k={self.k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}")
-        return Enumerator(tuple(_span_weight_counts(self.generator_basis.rows, self.n)))
+        """A(x): A_i = number of codewords of weight i.
+
+        Counted block by block over _span_blocks of the generator rows.
+        """
+        if refusal := _codeword_refusal(self.k):
+            raise ValueError(refusal)
+        blocks = _span_blocks(self.generator_basis.rows)
+        counts = sum(np.bincount(np.bitwise_count(b), minlength=self.n + 1) for b in blocks)
+        return Enumerator(tuple(int(c) for c in counts))
 
     @cached_property
     def minimum_distance(self) -> int | float:

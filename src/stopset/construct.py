@@ -9,19 +9,18 @@ closed-form bounds on the rows needed for optimal iterative decoding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, _span_blocks
 from .gf2 import (
     BitMatrix,
     null_space_basis,
     permute_columns,
     rank,
-    row_space_iter,
     select_columns,
     solve,
     transpose,
@@ -38,7 +37,7 @@ def _dual_words(code: LinearCode) -> list[int]:
     """All 2**(n-k) dual codewords, ascending as integers (zero first)."""
     if code.n - code.k > COMPLETE_MAX_DUAL_DIM:
         raise ValueError(f"n-k={code.n - code.k} exceeds complete-matrix guard {COMPLETE_MAX_DUAL_DIM}")
-    return sorted(row_space_iter(code.parity_basis))
+    return np.sort(np.concatenate(list(_span_blocks(code.parity_basis.rows)))).tolist()
 
 
 def complete_matrix(code: LinearCode) -> BitMatrix:
@@ -157,6 +156,8 @@ def minimal_matrix_search(
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"predicate must be one of {_PREDICATES}")
+    if max_rows is not None and max_rows < 0:
+        raise ValueError(f"max_rows must be >= 0, got {max_rows}")
     duals = _dual_words(code)[1:]
     if len(duals) > SEARCH_MAX_DUAL_WORDS:
         raise ValueError(f"{len(duals)} nonzero dual words exceed search guard {SEARCH_MAX_DUAL_WORDS}")
@@ -214,18 +215,7 @@ class BoundReport:
     notes: tuple[tuple[str, str], ...] = field(default=())
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "m": self.m,
-            "sv_bound": self.sv_bound,
-            "hs_bound": self.hs_bound,
-            "ht_bound": self.ht_bound,
-            "holtol_bound": self.holtol_bound,
-            "entropy_bound": self.entropy_bound,
-            "notes": dict(self.notes),
-        }
+        return {**asdict(self), "notes": dict(self.notes)}
 
 
 def redundancy_bounds(

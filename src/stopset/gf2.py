@@ -16,11 +16,6 @@ MAX_BITS = 64  # desk-scale cap on both dimensions
 ROW_SPACE_RANK_LIMIT = 24  # row_space_iter yields 2**rank vectors
 
 
-def weight(v: int) -> int:
-    """Number of set bits (Hamming weight)."""
-    return v.bit_count()
-
-
 def mask_from_indices(indices: Iterable[int]) -> int:
     """Pack 1-based coordinate indices into a bit mask."""
     m = 0

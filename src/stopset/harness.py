@@ -27,11 +27,12 @@ from typing import Optional
 import numpy as np
 from numpy.random import Philox
 
-from .codes import WEIGHT_ENUM_LIMIT, Enumerator, LinearCode, catalog, rm_8_4_4
+from .codes import Enumerator, LinearCode, _codeword_refusal, catalog, rm_8_4_4
 from .decoder import is_parity_check_of
 from .gf2 import BitMatrix
 from .stopsets import (
     _enumeration_refusal,
+    _flagged,
     _histogram,
     _incorrigible_flags,
     _pack,
@@ -151,11 +152,6 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
     return out
 
 
-def _flagged(flags: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The bit of each mask m in packed subset flags: word m >> 6, bit m & 63."""
-    return (flags[masks >> np.uint64(6)] >> (masks & np.uint64(63))) & np.uint64(1) != 0
-
-
 def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> PerformanceReport:
     """Simulate both decoders on the erasure channel.
 
@@ -172,7 +168,8 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     Works for any n <= 64; above the guard the analytic fields and the
     iterative dominant term are None, with the reason in ``notes``.  The
     optimal dominant term A_d eps^d needs only the 2**k codewords, so it
-    is None only when k exceeds the codeword enumeration limit as well.
+    is None, with a note, only when k exceeds the codeword enumeration
+    limit, on either side of the guard.
     """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
@@ -181,10 +178,13 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     analytic_opt = analytic_it = dominant_opt = dominant_it = None
     notes: tuple[tuple[str, str], ...] = ()
     refusal = _enumeration_refusal(n)
-    if refusal is None or code.k <= WEIGHT_ENUM_LIMIT:  # under the guard, k > limit raises
+    k_refusal = _codeword_refusal(code.k)
+    if k_refusal is None:
         d = code.minimum_distance
         dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
     if refusal is None:
+        if k_refusal:
+            notes = (("dominant_terms", f"optimal omitted: {k_refusal}"),)
         opt_flags = _incorrigible_flags(code)
         analytic_opt = analytic_pud(_histogram(opt_flags, n), cfg.epsilon, n)
         it_flags = _stopping_flags(h)
@@ -197,9 +197,7 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
             return _flagged(it_flags, masks), _flagged(opt_flags, masks)
 
     else:
-        dominant_note = f"iterative omitted: {refusal}"
-        if dominant_opt is None:
-            dominant_note = f"omitted: {refusal}; k={code.k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}"
+        dominant_note = f"omitted: {refusal}; {k_refusal}" if k_refusal else f"iterative omitted: {refusal}"
         notes = (("analytic", f"omitted: {refusal}"), ("dominant_terms", dominant_note))
 
         def classify(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +307,10 @@ def table1_report() -> Table1Report:
     """Recompute every enumerator in the benchmark table and diff it
     against the published values."""
     rm = rm_8_4_4()
+    i_poly = incorrigible_enumerator(rm)
     entries = [
         Table1Entry("A(x)", Enumerator(_TABLE1_A), rm.weight_enumerator),
-        Table1Entry("I(x)", Enumerator(_TABLE1_I), incorrigible_enumerator(rm)),
+        Table1Entry("I(x)", Enumerator(_TABLE1_I), i_poly),
     ]
     computed: dict[str, tuple[Enumerator, Enumerator]] = {}
     for name in ("H_4", "H_5", "H_8", "H_14"):
@@ -324,7 +323,6 @@ def table1_report() -> Table1Report:
         entries.append(Table1Entry(f"S(x) {name}", Enumerator(exp_s), s_poly))
         entries.append(Table1Entry(f"D(x) {name}", Enumerator(exp_d), d_poly))
 
-    i_poly = incorrigible_enumerator(rm)
     flags = (
         ("h14_stopping_enumerator_is_optimal", computed["H_14"][0] == star.stopping),
         ("h8_dead_end_is_incorrigible", computed["H_8"][1] == i_poly),

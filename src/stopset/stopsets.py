@@ -4,9 +4,11 @@ Stopping and dead-end sets are properties of a parity-check matrix;
 incorrigible sets are properties of the code alone.  All five
 enumerators count sets over the 2**n erasure subsets with one kernel on
 packed bits: word q of a flag array holds subsets 64q..64q+63, the low
-six coordinates indexing the bit and the rest the word.  Flags are
-built a word at a time, closed upward over the subset lattice (an
-OR-zeta transform) and counted by size.  D(x) is the closure of the
+six coordinates indexing the bit and the rest the word.  Only this
+module knows that layout; other modules pass flag arrays back to its
+functions (_flagged, _unpack, _histogram) and never index the words.
+Flags are built a word at a time, closed upward over the subset lattice
+(an OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
 stopping set inside it; I(x) is the closure of the nonzero codeword
 supports.  Subset enumeration is capped at n <= 28 by default (override
@@ -22,11 +24,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .codes import Enumerator, LinearCode, _span_array
-from .gf2 import BitMatrix, _column_mask, _gray_iter, rank, select_columns, transpose
+from .codes import Enumerator, LinearCode, _span_blocks
+from .gf2 import BitMatrix, _column_mask, mask_from_indices, rank, select_columns, transpose
 
 _DEFAULT_MAX_N = 28
-_SCATTER_BITS = 16  # codewords set per scatter call: 2**16, about 1.5 MB of temporaries
 
 
 def _enumeration_limit() -> int:
@@ -70,6 +71,17 @@ def _packed(n: int, fill: bool = False) -> np.ndarray:
     if refusal:
         raise ValueError(refusal)
     return np.full(1 << max(n - 6, 0), (1 << (1 << min(n, 6))) - 1 if fill else 0, dtype=np.uint64)
+
+
+def _locate(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each subset mask m lives in packed flags: word m >> 6, bit m & 63."""
+    return masks >> np.uint64(6), np.uint64(1) << (masks & np.uint64(63))
+
+
+def _flagged(flags: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether each subset mask is flagged in packed flags."""
+    words, bits = _locate(masks)
+    return flags[words] & bits != 0
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -136,18 +148,10 @@ def peel_closure(h: BitMatrix, subset: int | Iterable[int]) -> int:
 
     The result is the unique maximal stopping set inside the subset;
     empty iff the subset contains no nonempty stopping set.  Removal
-    order does not affect the fixpoint.
+    order does not affect the fixpoint.  A one-mask batch_peel_residuals.
     """
-    m = _column_mask(h, subset)
-    changed = True
-    while changed and m:
-        changed = False
-        for row in h.rows:
-            t = row & m
-            if t and t.bit_count() == 1:
-                m ^= t
-                changed = True
-    return m
+    masks = np.array([_column_mask(h, subset)], dtype=np.uint64)
+    return int(batch_peel_residuals(h, masks)[0])
 
 
 def is_incorrigible(code: LinearCode, subset: int | Iterable[int] | np.ndarray) -> bool | np.ndarray:
@@ -195,8 +199,8 @@ def _incorrigible_masks(h: BitMatrix, masks: np.ndarray) -> np.ndarray:
 def batch_peel_residuals(h: BitMatrix, masks: np.ndarray) -> np.ndarray:
     """Peel closure of every mask in the array, as one batched fixpoint.
 
-    Equivalent to calling peel_closure per mask; the fixpoint does not
-    depend on sweep order.
+    Each sweep removes, from every mask at once, the coordinates a row
+    checks alone; the fixpoint does not depend on sweep order.
     """
     rows = [masks.dtype.type(r) for r in h.rows]
     residual = masks.copy()
@@ -281,15 +285,12 @@ def dead_end_enumerator(h: BitMatrix) -> Enumerator:
 def _support_flags(code: LinearCode) -> np.ndarray:
     """Packed flags of the nonzero-codeword supports.
 
-    The codewords are set one coset of a 2**_SCATTER_BITS subcode at a
-    time, so memory stays bounded for any k.
+    The codewords are set one block of codes._span_blocks at a time, so
+    memory stays bounded for any k.
     """
     flags = _packed(code.n)
-    rows = code.generator_basis.rows
-    block = _span_array(rows[:_SCATTER_BITS], np.uint64)
-    for coset in _gray_iter(rows[_SCATTER_BITS:]):
-        words = block ^ np.uint64(coset)
-        np.bitwise_or.at(flags, words >> np.uint64(6), np.uint64(1) << (words & np.uint64(63)))
+    for words in _span_blocks(code.generator_basis.rows):
+        np.bitwise_or.at(flags, *_locate(words))
     flags[0] &= ~np.uint64(1)  # the zero codeword
     return flags
 
@@ -381,43 +382,23 @@ def minimum_stopping_decomposition(code: LinearCode) -> Optional[Decomposition]:
     Returns the repetition/full/zero coordinate split iff the optimal
     stopping set enumerator equals the weight enumerator; None otherwise.
     """
-    n = code.n
-    gen_rows = code.generator_basis.rows
-    par_rows = code.parity_basis.rows
-
-    zero_positions = []
-    full_positions = []
-    remaining = []
-    for j in range(1, n + 1):
-        bit = 1 << (j - 1)
-        if all(row & bit == 0 for row in gen_rows):
+    # column j of each basis as a word; equal generator columns mean
+    # c_i = c_j for every codeword, whatever basis is chosen
+    gen_cols = transpose(code.generator_basis).rows
+    par_cols = transpose(code.parity_basis).rows
+    zero_positions, full_positions = [], []
+    groups: dict[int, list[int]] = {}
+    for j, (g, p) in enumerate(zip(gen_cols, par_cols), start=1):
+        if not g:
             zero_positions.append(j)
-        elif all(row & bit == 0 for row in par_rows):
+        elif not p:
             full_positions.append(j)  # the unit vector e_j is a codeword
         else:
-            remaining.append(j)
-
-    # Group remaining coordinates by equality of generator columns
-    # (column equality holds iff c_i = c_j for every codeword, so the
-    # grouping does not depend on the basis choice).
-    groups: dict[int, list[int]] = {}
-    for j in remaining:
-        bit = 1 << (j - 1)
-        col = 0
-        for i, row in enumerate(gen_rows):
-            if row & bit:
-                col |= 1 << i
-        groups.setdefault(col, []).append(j)
+            groups.setdefault(g, []).append(j)
 
     blocks = sorted(groups.values())
-    if any(len(b) < 2 for b in blocks):
+    if any(len(b) < 2 or not code.contains(mask_from_indices(b)) for b in blocks):
         return None
-    for block in blocks:
-        indicator = 0
-        for j in block:
-            indicator |= 1 << (j - 1)
-        if not code.contains(indicator):
-            return None
     if code.k != len(blocks) + len(full_positions):
         return None
     return Decomposition(

@@ -102,6 +102,13 @@ def oracle_incorrigible_enumerator(code: LinearCode) -> Enumerator:
     return Enumerator(tuple(counts))
 
 
+def oracle_weight_enumerator(code: LinearCode) -> Enumerator:
+    counts = [0] * (code.n + 1)
+    for c in code.codewords():
+        counts[c.bit_count()] += 1
+    return Enumerator(tuple(counts))
+
+
 def oracle_minimum_distance(code: LinearCode):
     weights = [c.bit_count() for c in code.codewords() if c]
     return min(weights) if weights else math.inf

@@ -168,6 +168,13 @@ def test_construct_search_not_found(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_construct_search_negative_max_rows_is_input_error(capsys):
+    code = main(["construct", "search", "--code", "rm_8_4_4", "--max-rows", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "max_rows must be >= 0, got -1" in captured.err
+
+
 def test_construct_search_above_enumeration_guard(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("STOPSET_MAX_N", raising=False)
     path = tmp_path / "n29.txt"

@@ -170,6 +170,8 @@ def test_minimal_search_max_rows_and_errors():
     assert minimal_matrix_search(RM, "S=S*", max_rows=5) is None
     with pytest.raises(ValueError):
         minimal_matrix_search(RM, "S==S*")
+    with pytest.raises(ValueError, match="max_rows must be >= 0"):
+        minimal_matrix_search(RM, "D=I", max_rows=-1)
     big = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(5)), 10))
     with pytest.raises(ValueError):
         minimal_matrix_search(big, "D=I")  # 31 nonzero dual words

@@ -213,6 +213,17 @@ def test_monte_carlo_above_both_guards():
     assert note.startswith("omitted: n=64") and f"k={code.k} exceeds codeword enumeration limit" in note
 
 
+def test_monte_carlo_under_guard_above_codeword_limit(monkeypatch):
+    # STOPSET_MAX_N >= 29 admits real codes with k > 28; a lower limit shows it at n = 8
+    monkeypatch.setattr("stopset.codes.WEIGHT_ENUM_LIMIT", 3)
+    rep = monte_carlo(rm_8_4_4(), catalog("H_8"), ChannelConfig(epsilon=0.3, trials=2000, seed=5))
+    assert rep.dominant_opt is None and rep.dominant_it is not None
+    assert rep.analytic_opt == analytic_pud(incorrigible_enumerator(RM), 0.3)
+    assert dict(rep.notes) == {"dominant_terms": "optimal omitted: k=4 exceeds codeword enumeration limit 3"}
+    obj = json.loads(json.dumps(rep.to_json_obj()))
+    assert obj["dominant_terms"]["optimal"] is None and obj["notes"] == dict(rep.notes)
+
+
 def test_report_json_omits_empty_notes():
     rep = monte_carlo(RM, catalog("H_8"), ChannelConfig(0.25, 100, 3))
     assert rep.notes == () and "notes" not in rep.to_json_obj()

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopset.codes import LinearCode, full_code, hamming_7_4, repetition, zero_code
+from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, zero_code
 from stopset.construct import SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
-from stopset.gf2 import select_columns
-from stopset import stopsets
+from stopset.gf2 import row_space_iter, select_columns
 from stopset.stopsets import (
     _histogram,
     _incorrigible_flags,
@@ -41,6 +40,7 @@ from conftest import (
     oracle_is_stopping,
     oracle_minimal_matrix_search,
     oracle_stopping_enumerator,
+    oracle_weight_enumerator,
     random_code,
     random_dual_spanning_matrix,
 )
@@ -97,14 +97,17 @@ def test_flags_match_oracles_mask_by_mask(drawn):
 
 
 def _check_against_oracles(code, h):
-    """S, D, I, S* and D* equal the oracles, and no flag lands past bit 2**n - 1."""
+    """A, S, D, I, S* and D* and the complete matrix equal the oracles,
+    and no flag lands past bit 2**n - 1."""
     n = code.n
+    assert code.weight_enumerator == oracle_weight_enumerator(code)
     assert (stopping_set_enumerator(h), dead_end_enumerator(h)) == (
         oracle_stopping_enumerator(h),
         oracle_dead_end_enumerator(h),
     )
     assert incorrigible_enumerator(code) == oracle_incorrigible_enumerator(code)
     h_star = complete_matrix(code)
+    assert h_star.rows == tuple(sorted(row_space_iter(code.parity_basis)))
     star = optimal_enumerators(code)
     assert (star.stopping, star.dead_end) == (oracle_stopping_enumerator(h_star), oracle_dead_end_enumerator(h_star))
     for flags in (_stopping_flags(h), _incorrigible_flags(code), _optimal_flags(code)):
@@ -113,12 +116,13 @@ def _check_against_oracles(code, h):
             assert int(flags[0]) >> (1 << n) == 0
 
 
-@pytest.mark.parametrize("scatter_bits", [stopsets._SCATTER_BITS, 1])
+@pytest.mark.parametrize("block_bits", [_SPAN_BLOCK_BITS, 1])
 @pytest.mark.parametrize("n", range(1, 9))
-def test_word_boundaries_random_codes(n, scatter_bits, monkeypatch):
+def test_word_boundaries_random_codes(n, block_bits, monkeypatch):
     # n < 6 fills part of one word, n = 6 exactly one, n = 7 and 8 two and four;
-    # scatter_bits 1 sets the codeword supports over many cosets, as for k > 16
-    monkeypatch.setattr(stopsets, "_SCATTER_BITS", scatter_bits)
+    # block_bits 1 walks every span (codewords and dual words) over many
+    # blocks, as for a span of more than 2**16 words
+    monkeypatch.setattr("stopset.codes._SPAN_BLOCK_BITS", block_bits)
     rng = random.Random(n)
     for r in range(n + 1):
         code = random_code(rng, n, r)
