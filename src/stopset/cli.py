@@ -3,7 +3,8 @@
 Subcommands: enumerate, decode, simulate, construct, bounds,
 verify-table1.  Output is JSON on stdout (``--pretty`` switches to
 human-readable text).  Exit codes: 0 success, 1 verification mismatch,
-2 usage or input error.
+2 usage or input error, including a MemoryError from an allocation the
+input asked for.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ChannelModelViolation, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ChannelModelViolation, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

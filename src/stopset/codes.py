@@ -3,11 +3,19 @@
 A code is the null space of the row space of its parity-check matrix;
 the row space itself is the dual code.  Values are immutable after
 construction and all operations are pure.
+
+One enumeration guard bounds every walk over 2**bits objects: the 2**n
+erasure subsets of the stopping-set kernels and the 2**k codewords of
+codewords() and A(x).  It is n, k <= 28 by default, overridden by the
+STOPSET_MAX_N env var; _enumeration_limit is the one reader of that
+variable and _enumeration_refusal writes every refusal.  Since k <= n,
+a code under the guard in n is under it in k too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,9 +23,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _gray_iter, null_space_basis, parse_matrix, row_space_iter, rref
+from .gf2 import BitMatrix, _gray_iter, null_space_basis, parse_matrix, rank, row_space_iter, rref
 
-WEIGHT_ENUM_LIMIT = 28  # enumerating 2**k codewords
+_DEFAULT_ENUMERATION_LIMIT = 28  # 2**n subsets or 2**k codewords
 _SPAN_BLOCK_BITS = 16  # span words per block: 2**16, 0.5 MB
 
 
@@ -75,15 +83,28 @@ def _span_blocks(rows: Sequence[int]) -> Iterator[np.ndarray]:
         yield block ^ np.uint64(coset)
 
 
-def _codeword_refusal(k: int) -> Optional[str]:
-    """Why the 2**k codewords may not be enumerated; None if they may."""
-    if k > WEIGHT_ENUM_LIMIT:
-        return f"k={k} exceeds codeword enumeration limit {WEIGHT_ENUM_LIMIT}"
+def _enumeration_limit() -> int:
+    """The enumeration guard: STOPSET_MAX_N, else the default."""
+    env = os.environ.get("STOPSET_MAX_N") or str(_DEFAULT_ENUMERATION_LIMIT)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"STOPSET_MAX_N={env!r} is not a positive integer")
+    return int(env)
+
+
+def _enumeration_refusal(name: str, bits: int) -> Optional[str]:
+    """Why the 2**bits objects counted by name (n or k) may not be walked; None if they may."""
+    limit = _enumeration_limit()
+    if bits > limit:
+        return f"{name}={bits} exceeds enumeration guard {limit} (set STOPSET_MAX_N to override)"
     return None
 
 
 class LinearCode:
-    """An [n,k,d] binary linear code with canonical parity/generator bases."""
+    """An [n,k,d] binary linear code with canonical parity/generator bases.
+
+    The constructor refuses a pair of bases that is not one code: either
+    basis with dependent rows, or a generator row failing a parity check.
+    """
 
     def __init__(self, parity_basis: BitMatrix, generator_basis: BitMatrix):
         if parity_basis.n != generator_basis.n:
@@ -96,6 +117,10 @@ class LinearCode:
         self.k = generator_basis.r
         if parity_basis.r + self.k != self.n:
             raise ValueError("basis ranks do not add up to n")
+        if rank(parity_basis) < parity_basis.r or rank(generator_basis) < self.k:
+            raise ValueError("basis rows are dependent")
+        if not all(map(self.contains, generator_basis.rows)):
+            raise ValueError("a generator row fails a parity check")
 
     @classmethod
     def from_parity_check(cls, h: BitMatrix) -> "LinearCode":
@@ -126,7 +151,7 @@ class LinearCode:
 
     def codewords(self) -> Iterator[int]:
         """All 2**k codewords (Gray-code order, starts at zero)."""
-        if refusal := _codeword_refusal(self.k):
+        if refusal := _enumeration_refusal("k", self.k):
             raise ValueError(refusal)
         return _gray_iter(self.generator_basis.rows)
 
@@ -134,9 +159,10 @@ class LinearCode:
     def weight_enumerator(self) -> Enumerator:
         """A(x): A_i = number of codewords of weight i.
 
-        Counted block by block over _span_blocks of the generator rows.
+        Counted block by block over _span_blocks of the generator rows,
+        so the guard on k bounds time, not memory.
         """
-        if refusal := _codeword_refusal(self.k):
+        if refusal := _enumeration_refusal("k", self.k):
             raise ValueError(refusal)
         blocks = _span_blocks(self.generator_basis.rows)
         counts = sum(np.bincount(np.bitwise_count(b), minlength=self.n + 1) for b in blocks)

@@ -4,6 +4,9 @@ Covers the complete (all dual codewords) matrix, low-weight dual-row
 matrices, the adversarial construction that forces stopping distance 3,
 exhaustive minimal-matrix search over dual-row subsets, and the known
 closed-form bounds on the rows needed for optimal iterative decoding.
+Every dual-word listing is capped by gf2.ROW_SPACE_RANK_LIMIT on n-k,
+and the search also by SEARCH_MAX_DUAL_WORDS, checked from n-k before
+anything is listed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from .codes import LinearCode, _span_blocks
 from .gf2 import (
     BitMatrix,
+    _check_row_space_rank,
     null_space_basis,
     permute_columns,
     rank,
@@ -29,14 +33,12 @@ from .stopsets import _incorrigible_flags, _optimal_flags, _unpack
 # unused here, but perfbench/tracing.py wraps both names in this module
 from .stopsets import incorrigible_enumerator, optimal_enumerators  # noqa: F401
 
-COMPLETE_MAX_DUAL_DIM = 20
 SEARCH_MAX_DUAL_WORDS = 20
 
 
 def _dual_words(code: LinearCode) -> list[int]:
     """All 2**(n-k) dual codewords, ascending as integers (zero first)."""
-    if code.n - code.k > COMPLETE_MAX_DUAL_DIM:
-        raise ValueError(f"n-k={code.n - code.k} exceeds complete-matrix guard {COMPLETE_MAX_DUAL_DIM}")
+    _check_row_space_rank(code.n - code.k)
     return np.sort(np.concatenate(list(_span_blocks(code.parity_basis.rows)))).tolist()
 
 
@@ -88,8 +90,6 @@ def bad_matrix(code: LinearCode) -> tuple[BitMatrix, tuple[int, ...]]:
     d = code.minimum_distance
     if d is math.inf or d < 4:
         raise ValueError(f"construction needs minimum distance >= 4, got d={d}")
-    if code.k < 1:
-        raise ValueError("construction needs k >= 1")
     d = int(d)
 
     support = min(
@@ -149,18 +149,19 @@ def minimal_matrix_search(
     forbidden set is stopping (a dead-end set outside I holds a nonempty
     stopping set, which is outside I too).  The S* and I flags come from
     the enumerator kernels, and the sets below size d are the small sets
-    outside I, so the search shares their subset enumeration guard
-    (n <= 28 by default).  A candidate passes iff every forbidden set
-    meets one of its rows exactly once; the GF(2) rank runs only on
-    candidates that pass.
+    outside I, so the search shares their enumeration guard (n <= 28 by
+    default).  A candidate passes iff every forbidden set meets one of
+    its rows exactly once; the GF(2) rank runs only on candidates that
+    pass.  The 2**(n-k) - 1 nonzero dual words are counted against
+    SEARCH_MAX_DUAL_WORDS before any of them is listed.
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"predicate must be one of {_PREDICATES}")
     if max_rows is not None and max_rows < 0:
         raise ValueError(f"max_rows must be >= 0, got {max_rows}")
+    if (nonzero := (1 << (code.n - code.k)) - 1) > SEARCH_MAX_DUAL_WORDS:
+        raise ValueError(f"{nonzero} nonzero dual words exceed search guard {SEARCH_MAX_DUAL_WORDS}")
     duals = _dual_words(code)[1:]
-    if len(duals) > SEARCH_MAX_DUAL_WORDS:
-        raise ValueError(f"{len(duals)} nonzero dual words exceed search guard {SEARCH_MAX_DUAL_WORDS}")
 
     n = code.n
     need_rank = code.n - code.k

@@ -5,6 +5,11 @@ so the word 10100000 of length 8 is the int 0b101 = 5.  Matrices are
 immutable tuples of such row words plus an explicit column count.
 Everything here is a pure function; values are safe to share across
 threads.
+
+Two size caps live here: MAX_BITS bounds both matrix dimensions, and
+ROW_SPACE_RANK_LIMIT bounds every row space listed in full as Python
+ints, 2**rank of them (row_space_iter here, the dual words of
+construct).  _check_row_space_rank refuses before any listing starts.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_BITS = 64  # desk-scale cap on both dimensions
-ROW_SPACE_RANK_LIMIT = 24  # row_space_iter yields 2**rank vectors
+ROW_SPACE_RANK_LIMIT = 20  # a listed row space holds 2**rank Python ints
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -260,6 +265,12 @@ def _gray_iter(basis_rows: Sequence[int]) -> Iterator[int]:
         yield v
 
 
+def _check_row_space_rank(t: int) -> None:
+    """Refuse to list a row space of rank t above ROW_SPACE_RANK_LIMIT."""
+    if t > ROW_SPACE_RANK_LIMIT:
+        raise ValueError(f"rank {t} exceeds row-space iteration limit {ROW_SPACE_RANK_LIMIT}")
+
+
 def row_space_iter(m: BitMatrix) -> Iterator[int]:
     """Yield all 2**rank(M) row-space elements exactly once.
 
@@ -267,9 +278,7 @@ def row_space_iter(m: BitMatrix) -> Iterator[int]:
     differ by one basis vector; starts at the zero vector.  Deterministic.
     """
     basis = rref(m)[0].rows
-    t = len(basis)
-    if t > ROW_SPACE_RANK_LIMIT:
-        raise ValueError(f"rank {t} exceeds row-space iteration limit {ROW_SPACE_RANK_LIMIT}")
+    _check_row_space_rank(len(basis))
     yield from _gray_iter(basis)
 
 

@@ -12,7 +12,7 @@ epsilon.
 
 The peeling decoder fails on an erasure set exactly when it is a
 dead-end set, the optimal decoder exactly when it is incorrigible.
-Under the subset enumeration guard the simulation therefore builds the
+Under the enumeration guard the simulation therefore builds the
 packed D and I flags once (they also give the analytic rates) and reads
 each trial's two outcomes as two bit lookups.  Above the guard it peels
 and eliminates each chunk's distinct masks instead.
@@ -27,11 +27,10 @@ from typing import Optional
 import numpy as np
 from numpy.random import Philox
 
-from .codes import Enumerator, LinearCode, _codeword_refusal, catalog, rm_8_4_4
+from .codes import Enumerator, LinearCode, _enumeration_refusal, catalog, rm_8_4_4
 from .decoder import is_parity_check_of
 from .gf2 import BitMatrix
 from .stopsets import (
-    _enumeration_refusal,
     _flagged,
     _histogram,
     _incorrigible_flags,
@@ -159,17 +158,17 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     only on the erasure set, never on the transmitted word.  Iterative
     failure means the erasure set is a dead-end set (its peeling fixpoint
     is nonempty); optimal failure means it is incorrigible.  Under the
-    subset enumeration guard both are read per trial from the packed D
+    enumeration guard both are read per trial from the packed D
     and I flags, which also give the analytic rates.  Above it each
     chunk of 2**16 trials is classified on its distinct masks only: a
     batched peel and a batched XOR-basis rank test.  Trials come from
     the pinned stream of _erasure_masks either way.
 
-    Works for any n <= 64; above the guard the analytic fields and the
-    iterative dominant term are None, with the reason in ``notes``.  The
-    optimal dominant term A_d eps^d needs only the 2**k codewords, so it
-    is None, with a note, only when k exceeds the codeword enumeration
-    limit, on either side of the guard.
+    Works for any n <= 64; above the guard in n the analytic fields and
+    the iterative dominant term are None, with the reason in ``notes``.
+    The optimal dominant term A_d eps^d needs only the 2**k codewords,
+    so it stays numeric while k is under the same guard; since k <= n,
+    its note appears only above the guard in n.
     """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
@@ -177,14 +176,12 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
 
     analytic_opt = analytic_it = dominant_opt = dominant_it = None
     notes: tuple[tuple[str, str], ...] = ()
-    refusal = _enumeration_refusal(n)
-    k_refusal = _codeword_refusal(code.k)
+    refusal = _enumeration_refusal("n", n)
+    k_refusal = _enumeration_refusal("k", code.k)
     if k_refusal is None:
         d = code.minimum_distance
         dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
     if refusal is None:
-        if k_refusal:
-            notes = (("dominant_terms", f"optimal omitted: {k_refusal}"),)
         opt_flags = _incorrigible_flags(code)
         analytic_opt = analytic_pud(_histogram(opt_flags, n), cfg.epsilon, n)
         it_flags = _stopping_flags(h)

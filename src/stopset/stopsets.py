@@ -11,38 +11,22 @@ Flags are built a word at a time, closed upward over the subset lattice
 (an OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
 stopping set inside it; I(x) is the closure of the nonzero codeword
-supports.  Subset enumeration is capped at n <= 28 by default (override
-with the STOPSET_MAX_N env var); the flags then take 2**(n-3) bytes.
+supports.  Every flag array is allocated by _packed, behind the one
+enumeration guard of codes._enumeration_refusal (n <= 28 by default,
+overridden by the STOPSET_MAX_N env var); the flags then take 2**(n-3)
+bytes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .codes import Enumerator, LinearCode, _span_blocks
+from .codes import Enumerator, LinearCode, _enumeration_refusal, _span_blocks
 from .gf2 import BitMatrix, _column_mask, mask_from_indices, rank, select_columns, transpose
-
-_DEFAULT_MAX_N = 28
-
-
-def _enumeration_limit() -> int:
-    env = os.environ.get("STOPSET_MAX_N") or str(_DEFAULT_MAX_N)
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"STOPSET_MAX_N={env!r} is not a positive integer")
-    return int(env)
-
-
-def _enumeration_refusal(n: int) -> Optional[str]:
-    """Why the 2**n subsets may not be enumerated; None if they may."""
-    limit = _enumeration_limit()
-    if n > limit:
-        return f"n={n} exceeds subset enumeration guard {limit} (set STOPSET_MAX_N to override)"
-    return None
 
 
 def _mask_dtype(n: int):
@@ -67,8 +51,7 @@ def _packed(n: int, fill: bool = False) -> np.ndarray:
 
     For n < 6 the one word is partial: no kernel pass sets bit 2**n or above.
     """
-    refusal = _enumeration_refusal(n)
-    if refusal:
+    if refusal := _enumeration_refusal("n", n):
         raise ValueError(refusal)
     return np.full(1 << max(n - 6, 0), (1 << (1 << min(n, 6))) - 1 if fill else 0, dtype=np.uint64)
 

@@ -187,6 +187,7 @@ def test_construct_search_above_enumeration_guard(capsys, tmp_path, monkeypatch)
 @pytest.mark.parametrize("command", [
     ["enumerate", "--matrix", "H_8"],
     ["simulate", "--code", "rm_8_4_4", "--matrix", "H_8", "--epsilon", "0.3", "--trials", "10", "--seed", "1"],
+    ["construct", "bad", "--code", "rm_8_4_4"],
 ])
 def test_malformed_enumeration_limit_is_input_error(capsys, monkeypatch, value, command):
     monkeypatch.setenv("STOPSET_MAX_N", value)
@@ -194,6 +195,54 @@ def test_malformed_enumeration_limit_is_input_error(capsys, monkeypatch, value, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"STOPSET_MAX_N={value!r} is not a positive integer" in captured.err
+
+
+_SIMULATE_RM = ["simulate", "--code", "rm_8_4_4", "--matrix", "H_8",
+                "--epsilon", "0.3", "--trials", "100", "--seed", "1"]
+
+
+@pytest.mark.parametrize("limit, call, refused", [
+    (7, ["enumerate", "--code", "rm_8_4_4"], ["n=8"]),
+    (3, ["enumerate", "--code", "rm_8_4_4"], ["k=4"]),
+    (7, _SIMULATE_RM, ["n=8"]),
+    (3, _SIMULATE_RM, ["n=8", "k=4"]),
+    (3, ["construct", "bad", "--code", "rm_8_4_4"], ["k=4"]),
+    (7, ["construct", "search", "--code", "rm_8_4_4"], ["n=8"]),
+    (3, lambda: rm_8_4_4().weight_enumerator, ["k=4"]),
+    (3, lambda: rm_8_4_4().codewords(), ["k=4"]),
+], ids=["enumerate-n", "enumerate-k", "simulate-n", "simulate-nk", "bad-k", "search-n",
+        "weight_enumerator-k", "codewords-k"])
+def test_lowered_guard_refuses_n_and_k_with_one_template(capsys, monkeypatch, limit, call, refused):
+    monkeypatch.setenv("STOPSET_MAX_N", str(limit))
+    texts = [f"{r} exceeds enumeration guard {limit} (set STOPSET_MAX_N to override)" for r in refused]
+    if callable(call):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert [str(exc.value)] == texts
+        return
+    code = main(call)
+    captured = capsys.readouterr()
+    if call[0] == "simulate":  # refusals become notes, the run goes on
+        assert code == 0
+        notes = json.loads(captured.out)["notes"]
+        assert notes["dominant_terms"] == ("iterative omitted: " if len(texts) == 1 else "omitted: ") + "; ".join(texts)
+        assert notes["analytic"] == f"omitted: {texts[0]}"
+    else:
+        assert code == 2 and captured.out == "" and captured.err == f"error: {texts[0]}\n"
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 32.0 GiB for an array"), "Unable to allocate 32.0 GiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_memory_error_is_input_error(capsys, monkeypatch, exc, message):
+    def refuse(h):
+        raise exc
+
+    monkeypatch.setattr("stopset.cli.profile", refuse)
+    code = main(["enumerate", "--matrix", "H_8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_construct_enumerate_round_trip(capsys, tmp_path):

@@ -170,5 +170,17 @@ def test_enumerator_rendering():
 
 def test_codeword_guard():
     big = full_code(30)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"k=30 exceeds enumeration guard 28 \(set STOPSET_MAX_N"):
         big.weight_enumerator
+
+
+def test_inconsistent_bases_refused():
+    with pytest.raises(ValueError, match="generator row fails a parity check"):
+        LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b01,), 2))
+    with pytest.raises(ValueError, match="dependent"):  # parity rows
+        LinearCode(BitMatrix((0b011, 0b011), 3), BitMatrix((0b100,), 3))
+    with pytest.raises(ValueError, match="dependent"):  # generator rows
+        LinearCode(BitMatrix((0b111,), 3), BitMatrix((0b011, 0b011), 3))
+    # a self-dual pair shares its rows and is one code
+    code = LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b11,), 2))
+    assert list(code.codewords()) == [0, 0b11] and code.weight_enumerator.coefficients == (1, 0, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_complete_matrix_small():
 
 def test_complete_matrix_guard():
     wide = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(21)), 22))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank 21 exceeds row-space iteration limit 20"):
         complete_matrix(wide)
 
 
@@ -181,14 +182,24 @@ def test_minimal_search_shares_enumeration_guard(monkeypatch):
     monkeypatch.delenv("STOPSET_MAX_N", raising=False)
     code = LinearCode.from_parity_check(BitMatrix(tuple(0x7F << (7 * i) for i in range(4)), 29))
     assert (code.n, code.k) == (29, 25)  # 15 nonzero dual words, within the search guard
-    with pytest.raises(ValueError, match="subset enumeration guard 28"):
+    with pytest.raises(ValueError, match=re.escape("n=29 exceeds enumeration guard 28 (set STOPSET_MAX_N")):
         minimal_matrix_search(code, "D=I")
 
 
 def test_minimal_search_dual_dimension_guard():
     wide = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(21)), 22))
-    with pytest.raises(ValueError, match="complete-matrix guard"):
+    with pytest.raises(ValueError, match="2097151 nonzero dual words exceed search guard 20"):
         minimal_matrix_search(wide, "s=d")
+
+
+def test_minimal_search_refuses_before_listing_dual_words(monkeypatch):
+    def listed(rows):
+        raise AssertionError("dual words listed before the search guard")
+
+    monkeypatch.setattr("stopset.construct._span_blocks", listed)
+    code = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(5)), 10))
+    with pytest.raises(ValueError, match="31 nonzero dual words exceed search guard 20"):
+        minimal_matrix_search(code, "D=I")
 
 
 def test_eq1_row_count_range():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopset import harness
-from stopset.codes import WEIGHT_ENUM_LIMIT, Enumerator, catalog, rm_8_4_4
+from stopset.codes import Enumerator, _enumeration_limit, catalog, rm_8_4_4
 from stopset.harness import (
     ChannelConfig,
     _erasure_masks,
@@ -206,20 +206,27 @@ def test_monte_carlo_above_enumeration_guard():
 
 def test_monte_carlo_above_both_guards():
     code = random_code(random.Random(64), 64, 30)
-    assert code.k > WEIGHT_ENUM_LIMIT
+    assert code.k > _enumeration_limit()
     rep = monte_carlo(code, code.parity_basis, ChannelConfig(epsilon=0.1, trials=500, seed=2))
     assert (rep.analytic_opt, rep.analytic_it, rep.dominant_opt, rep.dominant_it) == (None,) * 4
     note = dict(rep.notes)["dominant_terms"]
-    assert note.startswith("omitted: n=64") and f"k={code.k} exceeds codeword enumeration limit" in note
+    assert note.startswith("omitted: n=64") and f"k={code.k} exceeds enumeration guard 28" in note
 
 
-def test_monte_carlo_under_guard_above_codeword_limit(monkeypatch):
-    # STOPSET_MAX_N >= 29 admits real codes with k > 28; a lower limit shows it at n = 8
-    monkeypatch.setattr("stopset.codes.WEIGHT_ENUM_LIMIT", 3)
-    rep = monte_carlo(rm_8_4_4(), catalog("H_8"), ChannelConfig(epsilon=0.3, trials=2000, seed=5))
-    assert rep.dominant_opt is None and rep.dominant_it is not None
-    assert rep.analytic_opt == analytic_pud(incorrigible_enumerator(RM), 0.3)
-    assert dict(rep.notes) == {"dominant_terms": "optimal omitted: k=4 exceeds codeword enumeration limit 3"}
+def test_monte_carlo_lowered_guard_refuses_n_and_k(monkeypatch):
+    # one guard bounds n and k, so the k note comes only with the n note
+    cfg = ChannelConfig(epsilon=0.3, trials=2000, seed=5)
+    under = monte_carlo(RM, catalog("H_8"), cfg)
+    monkeypatch.setenv("STOPSET_MAX_N", "3")
+    rep = monte_carlo(RM, catalog("H_8"), cfg)
+    assert (rep.analytic_opt, rep.analytic_it, rep.dominant_opt, rep.dominant_it) == (None,) * 4
+    n_refusal = "n=8 exceeds enumeration guard 3 (set STOPSET_MAX_N to override)"
+    k_refusal = "k=4 exceeds enumeration guard 3 (set STOPSET_MAX_N to override)"
+    assert dict(rep.notes) == {
+        "analytic": f"omitted: {n_refusal}",
+        "dominant_terms": f"omitted: {n_refusal}; {k_refusal}",
+    }
+    assert (rep.it_failures, rep.opt_failures) == (under.it_failures, under.opt_failures)
     obj = json.loads(json.dumps(rep.to_json_obj()))
     assert obj["dominant_terms"]["optimal"] is None and obj["notes"] == dict(rep.notes)
 

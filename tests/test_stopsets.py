@@ -311,7 +311,7 @@ def test_optimal_stopping_sets_are_unions_of_supports():
 
 
 def test_optimal_guards():
-    # S* and D* share the subset enumeration guard and have no cap on n-k.
+    # S* and D* share the enumeration guard and have no cap on n-k.
     too_long = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(29)), 29))
     with pytest.raises(ValueError):
         optimal_enumerators(too_long)
