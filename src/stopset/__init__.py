@@ -4,6 +4,10 @@ Stopping-set, dead-end-set, incorrigible-set and weight enumerators for
 arbitrary parity-check matrices; peeling and optimal erasure decoders;
 parity-check matrix constructions with optimal enumerators; row-count
 bounds; and a reproducible Monte Carlo channel harness.
+
+The names below are the documented API (README, section API).  Record
+types such as StoppingProfile or DecodeOutcome come back as return
+values; they and the GF(2) helpers stay importable from their modules.
 """
 
 from .codes import (
@@ -18,9 +22,7 @@ from .codes import (
     zero_code,
 )
 from .construct import (
-    BoundReport,
     bad_matrix,
-    binary_entropy,
     complete_matrix,
     minimal_matrix_search,
     redundancy_bounds,
@@ -31,43 +33,16 @@ from .decoder import (
     DECODED,
     STALLED,
     ChannelModelViolation,
-    DecodeOutcome,
-    ErasureClass,
     ReceivedWord,
     classify_erasure_set,
-    is_parity_check_of,
     iterative_decode,
     optimal_decode,
 )
-from .gf2 import (
-    BitMatrix,
-    format_matrix,
-    indices_from_mask,
-    mask_from_indices,
-    null_space_basis,
-    parse_matrix,
-    permute_columns,
-    rank,
-    row_space_iter,
-    rref,
-    select_columns,
-    solve,
-    transpose,
-)
-from .harness import (
-    ChannelConfig,
-    PerformanceReport,
-    Table1Report,
-    analytic_pud,
-    monte_carlo,
-    table1_report,
-)
+from .gf2 import BitMatrix, format_matrix, mask_from_indices, parse_matrix
+from .harness import ChannelConfig, analytic_pud, monte_carlo, table1_report
 from .stopsets import (
-    Decomposition,
-    StoppingProfile,
     dead_end_enumerator,
     incorrigible_enumerator,
-    is_codeword_support,
     is_incorrigible,
     is_stopping_set,
     minimum_stopping_decomposition,
@@ -81,23 +56,15 @@ from .stopsets import (
 __all__ = [
     "AMBIGUOUS",
     "BitMatrix",
-    "BoundReport",
     "ChannelConfig",
     "ChannelModelViolation",
     "DECODED",
-    "DecodeOutcome",
-    "Decomposition",
     "Enumerator",
-    "ErasureClass",
     "LinearCode",
-    "PerformanceReport",
     "ReceivedWord",
     "STALLED",
-    "StoppingProfile",
-    "Table1Report",
     "analytic_pud",
     "bad_matrix",
-    "binary_entropy",
     "catalog",
     "classify_erasure_set",
     "complete_matrix",
@@ -107,35 +74,24 @@ __all__ = [
     "full_code",
     "hamming_7_4",
     "incorrigible_enumerator",
-    "indices_from_mask",
-    "is_codeword_support",
     "is_incorrigible",
-    "is_parity_check_of",
     "is_stopping_set",
     "iterative_decode",
     "mask_from_indices",
     "minimal_matrix_search",
     "minimum_stopping_decomposition",
     "monte_carlo",
-    "null_space_basis",
     "optimal_decode",
     "optimal_enumerators",
     "parse_matrix",
     "peel_closure",
-    "permute_columns",
     "profile",
-    "rank",
     "redundancy_bounds",
     "repetition",
     "rm_8_4_4",
-    "row_space_iter",
-    "rref",
-    "select_columns",
-    "solve",
     "stopping_distance",
     "stopping_set_enumerator",
     "table1_report",
-    "transpose",
     "weight_bounded_dual_matrix",
     "zero_code",
 ]

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["complete", "low-weight", "bad", "search"])
     p.add_argument("--code", required=True)
     p.add_argument("--weight", type=int, help="weight cap for low-weight (default k+1)")
-    p.add_argument("--predicate", choices=["s=d", "S=S*", "D=I"], default="D=I",
+    p.add_argument("--predicate", choices=construct_mod.PREDICATES, default="D=I",
                    help="search target (default D=I)")
     p.add_argument("--max-rows", type=int)
     p.add_argument("--pretty", action="store_true")

@@ -100,10 +100,13 @@ def _enumeration_refusal(name: str, bits: int) -> Optional[str]:
 
 
 class LinearCode:
-    """An [n,k,d] binary linear code with canonical parity/generator bases.
+    """An [n,k,d] binary linear code given by a parity and a generator basis.
 
     The constructor refuses a pair of bases that is not one code: either
     basis with dependent rows, or a generator row failing a parity check.
+    It keeps the parity basis in reduced echelon form, which the dual
+    code fixes, so equal codes compare and hash equal whatever bases
+    they were built from.
     """
 
     def __init__(self, parity_basis: BitMatrix, generator_basis: BitMatrix):
@@ -111,13 +114,13 @@ class LinearCode:
             raise ValueError("parity and generator lengths disagree")
         if parity_basis.n < 1:
             raise ValueError("code length must be positive")
-        self.parity_basis = parity_basis
+        self.parity_basis = rref(parity_basis)[0]
         self.generator_basis = generator_basis
         self.n = parity_basis.n
         self.k = generator_basis.r
         if parity_basis.r + self.k != self.n:
             raise ValueError("basis ranks do not add up to n")
-        if rank(parity_basis) < parity_basis.r or rank(generator_basis) < self.k:
+        if self.parity_basis.r < parity_basis.r or rank(generator_basis) < self.k:
             raise ValueError("basis rows are dependent")
         if not all(map(self.contains, generator_basis.rows)):
             raise ValueError("a generator row fails a parity check")
@@ -137,13 +140,10 @@ class LinearCode:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.parity_basis.rows == other.parity_basis.rows
-        )
+        return self.parity_basis == other.parity_basis
 
     def __hash__(self) -> int:
-        return hash((self.n, self.parity_basis.rows))
+        return hash(self.parity_basis)
 
     def contains(self, word: int) -> bool:
         """Codeword membership: word satisfies every parity check."""
@@ -198,10 +198,7 @@ def direct_sum(parts: Sequence[LinearCode]) -> LinearCode:
         parity_rows.extend(row << offset for row in p.parity_basis.rows)
         gen_rows.extend(row << offset for row in p.generator_basis.rows)
         offset += p.n
-    return LinearCode(
-        rref(BitMatrix(tuple(parity_rows), n))[0],
-        rref(BitMatrix(tuple(gen_rows), n))[0],
-    )
+    return LinearCode(BitMatrix(tuple(parity_rows), n), rref(BitMatrix(tuple(gen_rows), n))[0])
 
 
 def repetition(n: int) -> LinearCode:

@@ -125,7 +125,7 @@ def bad_matrix(code: LinearCode) -> tuple[BitMatrix, tuple[int, ...]]:
     return h, perm
 
 
-_PREDICATES = ("s=d", "S=S*", "D=I")
+PREDICATES = ("s=d", "S=S*", "D=I")  # the order of the CLI's --predicate choices
 
 
 def minimal_matrix_search(
@@ -155,8 +155,8 @@ def minimal_matrix_search(
     pass.  The 2**(n-k) - 1 nonzero dual words are counted against
     SEARCH_MAX_DUAL_WORDS before any of them is listed.
     """
-    if predicate not in _PREDICATES:
-        raise ValueError(f"predicate must be one of {_PREDICATES}")
+    if predicate not in PREDICATES:
+        raise ValueError(f"predicate must be one of {PREDICATES}")
     if max_rows is not None and max_rows < 0:
         raise ValueError(f"max_rows must be >= 0, got {max_rows}")
     if (nonzero := (1 << (code.n - code.k)) - 1) > SEARCH_MAX_DUAL_WORDS:

@@ -86,10 +86,6 @@ class DecodeOutcome:
     recovered: int
 
     @property
-    def is_decoded(self) -> bool:
-        return self.kind == DECODED
-
-    @property
     def residual_set(self) -> tuple[int, ...]:
         return indices_from_mask(self.residual)
 

@@ -280,9 +280,3 @@ def row_space_iter(m: BitMatrix) -> Iterator[int]:
     basis = rref(m)[0].rows
     _check_row_space_rank(len(basis))
     yield from _gray_iter(basis)
-
-
-def in_row_space(v: int, m: BitMatrix) -> bool:
-    """Membership test: is v a GF(2) combination of the rows of M."""
-    base = rank(m)
-    return rank(BitMatrix(m.rows + (v,), m.n)) == base

@@ -65,20 +65,16 @@ class ChannelConfig:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
-def analytic_pud(e: Enumerator, epsilon: float, n: Optional[int] = None) -> float:
-    """Exact failure probability sum_i E_i eps^i (1-eps)^(n-i).
+def analytic_pud(e: Enumerator, epsilon: float) -> float:
+    """Exact failure probability sum_i E_i eps^i (1-eps)^(n-i), n = e.n.
 
     Works for any set-size enumerator: the incorrigible enumerator gives
     the optimal decoder's failure probability, a dead-end enumerator the
     iterative decoder's.
     """
-    if n is None:
-        n = e.n
-    if e.n != n:
-        raise ValueError(f"enumerator has {e.n + 1} coefficients, expected {n + 1}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    return float(sum(c * epsilon**i * (1.0 - epsilon) ** (n - i) for i, c in enumerate(e.coefficients)))
+    return float(sum(c * epsilon**i * (1.0 - epsilon) ** (e.n - i) for i, c in enumerate(e.coefficients)))
 
 
 @dataclass(frozen=True)
@@ -183,10 +179,10 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
         dominant_opt = 0.0 if code.k == 0 else code.weight_enumerator[int(d)] * cfg.epsilon ** int(d)
     if refusal is None:
         opt_flags = _incorrigible_flags(code)
-        analytic_opt = analytic_pud(_histogram(opt_flags, n), cfg.epsilon, n)
+        analytic_opt = analytic_pud(_histogram(opt_flags, n), cfg.epsilon)
         it_flags = _stopping_flags(h)
         h_profile = _profile(it_flags, n)  # closes it_flags into the dead-end flags
-        analytic_it = analytic_pud(h_profile.dead_end, cfg.epsilon, n)
+        analytic_it = analytic_pud(h_profile.dead_end, cfg.epsilon)
         s = h_profile.stopping_distance
         dominant_it = 0.0 if s > n else h_profile.stopping[s] * cfg.epsilon**s
 

@@ -114,12 +114,6 @@ def _histogram(words: np.ndarray, n: int) -> Enumerator:
 # ---------------------------------------------------------------------------
 # predicates
 
-def is_codeword_support(h: BitMatrix, subset: int | Iterable[int]) -> bool:
-    """True iff every row of H restricted to the subset has even weight."""
-    m = _column_mask(h, subset)
-    return all((row & m).bit_count() % 2 == 0 for row in h.rows)
-
-
 def is_stopping_set(h: BitMatrix, subset: int | Iterable[int]) -> bool:
     """True iff no row of H restricted to the subset has weight one."""
     m = _column_mask(h, subset)
@@ -208,11 +202,7 @@ class StoppingProfile:
 
     stopping: Enumerator
     dead_end: Enumerator
-    stopping_distance: int
-
-    @property
-    def no_nonempty_stopping_set(self) -> bool:
-        return self.stopping_distance > self.stopping.n
+    stopping_distance: int  # n+1 when no nonempty stopping set exists
 
 
 def _stopping_flags(h: BitMatrix) -> np.ndarray:

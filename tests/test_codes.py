@@ -184,3 +184,12 @@ def test_inconsistent_bases_refused():
     # a self-dual pair shares its rows and is one code
     code = LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b11,), 2))
     assert list(code.codewords()) == [0, 0b11] and code.weight_enumerator.coefficients == (1, 0, 1)
+
+
+def test_equal_codes_from_different_parity_bases():
+    # both are {000, 111}; the constructor is given a basis that is not reduced
+    h = BitMatrix((0b011, 0b110), 3)
+    code = LinearCode(h, BitMatrix((0b111,), 3))
+    twin = LinearCode.from_parity_check(h)
+    assert code == twin
+    assert hash(code) == hash(twin)

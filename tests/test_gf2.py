@@ -6,7 +6,6 @@ from stopset.codes import catalog, repetition
 from stopset.gf2 import (
     BitMatrix,
     format_matrix,
-    in_row_space,
     indices_from_mask,
     mask_from_indices,
     null_space_basis,
@@ -129,7 +128,7 @@ def test_row_space_iter_h8():
     assert len(set(words)) == 16
     assert 0 in words
     for w in words:
-        assert in_row_space(w, H8)
+        assert rank(BitMatrix(H8.rows + (w,), 8)) == rank(H8)
 
 
 def test_row_space_iter_degenerate():

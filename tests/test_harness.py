@@ -60,8 +60,6 @@ def test_analytic_rm_incorrigible():
 
 def test_analytic_validation():
     with pytest.raises(ValueError):
-        analytic_pud(Enumerator((1, 0)), 0.5, n=5)
-    with pytest.raises(ValueError):
         analytic_pud(Enumerator((1, 0)), 1.5)
 
 

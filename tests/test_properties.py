@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, zero_code
-from stopset.construct import SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
+from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.gf2 import row_space_iter, select_columns
 from stopset.stopsets import (
     _histogram,
@@ -184,16 +184,13 @@ def test_incorrigible_array_n64_matches_scalar():
     assert 0 < flags.sum() < len(masks)  # both outcomes occur
 
 
-SEARCH_PREDICATES = ("s=d", "S=S*", "D=I")
-
-
 def _rows(h):
     return None if h is None else h.rows
 
 
 def _check_search(code):
     nk = code.n - code.k
-    for predicate in SEARCH_PREDICATES:
+    for predicate in PREDICATES:
         for max_rows in (None, nk, nk + 1):
             found = minimal_matrix_search(code, predicate, max_rows)
             assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate, max_rows))
@@ -214,7 +211,7 @@ def test_minimal_search_matches_oracle_distance_3(n):
 
 @pytest.mark.parametrize("make", [full_code, zero_code, repetition])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("predicate", SEARCH_PREDICATES)
+@pytest.mark.parametrize("predicate", PREDICATES)
 def test_minimal_search_special_codes(make, n, predicate):
     code = make(n)
     if (1 << (code.n - code.k)) - 1 > SEARCH_MAX_DUAL_WORDS:  # zero_code(5)

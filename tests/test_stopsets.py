@@ -19,7 +19,6 @@ from stopset.stopsets import (
     batch_peel_residuals,
     dead_end_enumerator,
     incorrigible_enumerator,
-    is_codeword_support,
     is_incorrigible,
     is_stopping_set,
     minimum_stopping_decomposition,
@@ -51,9 +50,10 @@ H14 = catalog("H_14")
 # predicates
 
 def test_codeword_support_examples():
-    assert is_codeword_support(H8, {1, 2, 7, 8})
-    assert is_codeword_support(H8, 0)
-    assert not is_codeword_support(H8, {1, 2, 3})
+    # RM is the code of H_8
+    assert RM.contains(mask_from_indices({1, 2, 7, 8}))
+    assert RM.contains(0)
+    assert not RM.contains(mask_from_indices({1, 2, 3}))
 
 
 def test_stopping_set_examples():
@@ -73,7 +73,7 @@ def test_peel_closure_examples():
     assert peel_closure(H8, 0) == 0
 
 
-@pytest.mark.parametrize("predicate", [is_codeword_support, is_stopping_set, peel_closure])
+@pytest.mark.parametrize("predicate", [is_stopping_set, peel_closure])
 @pytest.mark.parametrize("subset", [[9], 1 << 8, [1, 8, 9]])
 def test_scalar_predicates_reject_out_of_range(predicate, subset):
     # H_8 has 8 columns; is_incorrigible and select_columns refuse the same input
@@ -291,7 +291,6 @@ def test_optimal_degenerate_codes():
     z = optimal_enumerators(zero_code(4))
     assert z.stopping.poly_str() == "1"
     assert z.stopping_distance == 5
-    assert z.no_nonempty_stopping_set
     f = optimal_enumerators(full_code(3))
     assert f.stopping == full_code(3).weight_enumerator
 
@@ -390,4 +389,3 @@ def test_profile_bundles_consistent_values():
     p = profile(catalog("H_4"))
     assert p.stopping_distance == 3
     assert p.dead_end[3] == p.stopping[3]  # D_s = S_s
-    assert not p.no_nonempty_stopping_set
