@@ -2,8 +2,11 @@
 
 Covers the complete (all dual codewords) matrix, low-weight dual-row
 matrices, the adversarial construction that forces stopping distance 3,
-exhaustive minimal-matrix search over dual-row subsets, and the known
+the exact minimal-matrix search over dual-row subsets, and the known
 closed-form bounds on the rows needed for optimal iterative decoding.
+The search is a depth-first walk over row subsets in lexicographic
+order, pruned where some forbidden subset can no longer be covered; it
+returns the first full-rank passing subset, as a plain scan would.
 Every dual-word listing is capped by gf2.ROW_SPACE_RANK_LIMIT on n-k,
 and the search also by SEARCH_MAX_DUAL_WORDS, checked from n-k before
 anything is listed.
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -136,7 +138,7 @@ def minimal_matrix_search(
 
     Predicates: "s=d" (stopping distance equals minimum distance),
     "S=S*" (stopping set enumerator is optimal), "D=I" (dead-end set
-    enumerator is optimal).  Candidates are scanned by increasing row
+    enumerator is optimal).  Candidates are taken by increasing row
     count, then lexicographically on the sorted row list, so the result
     is deterministic.
 
@@ -151,9 +153,22 @@ def minimal_matrix_search(
     the enumerator kernels, and the sets below size d are the small sets
     outside I, so the search shares their enumeration guard (n <= 28 by
     default).  A candidate passes iff every forbidden set meets one of
-    its rows exactly once; the GF(2) rank runs only on candidates that
-    pass.  The 2**(n-k) - 1 nonzero dual words are counted against
-    SEARCH_MAX_DUAL_WORDS before any of them is listed.
+    its rows exactly once (is covered).
+
+    For each row count r the search is a depth-first walk that appends
+    dual-word indices in increasing order, so it reaches the r-subsets
+    in the same lexicographic order as a plain scan.  It carries the
+    covered sets of the prefix down as one OR per step, and cuts a
+    subtree only when some forbidden set is covered by no row of the
+    prefix and hit by no row at index >= start (the next index the
+    subtree may use).  No leaf below such a node can pass, so every
+    passing leaf is still reached, in lexicographic order.  The forbidden
+    sets are sorted by the last row that hits them, which makes that
+    test one prefix check.  The GF(2) rank runs only on passing leaves;
+    it is needed because a passing candidate may be rank-deficient (for
+    "s=d" this happens: its rows can cover every small set without
+    spanning the dual).  The 2**(n-k) - 1 nonzero dual words are counted
+    against SEARCH_MAX_DUAL_WORDS before any of them is listed.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"predicate must be one of {PREDICATES}")
@@ -171,19 +186,37 @@ def minimal_matrix_search(
         forbidden = np.flatnonzero(~_unpack(_incorrigible_flags(code), n))[1:]  # [0] is the empty set
         if predicate == "s=d":
             forbidden = forbidden[np.bitwise_count(forbidden) < code.minimum_distance]
-    # stays[i, f]: dual word i does not meet forbidden set f exactly once
-    stays = np.empty((len(duals), forbidden.size), dtype=bool)
+    # hits[i, f]: dual word i meets forbidden set f exactly once, built a
+    # row at a time so no temporary is larger than one row of masks;
+    # last[f]: the largest index of a row hitting f, -1 if none does
+    hits = np.empty((len(duals), forbidden.size), dtype=bool)
+    last = np.full(forbidden.size, -1)
     for i, w in enumerate(duals):
-        stays[i] = np.bitwise_count(forbidden & w) != 1
+        hits[i] = np.bitwise_count(forbidden & w) == 1
+        last[hits[i]] = i
+    order = np.argsort(last)
+    hits = hits[:, order]
+    # dead[s]: the sets [0, dead[s]) are hit by no row at index >= s
+    dead = np.searchsorted(last[order], np.arange(len(duals) + 1))
+
+    def first_leaf(r: int, prefix: list[int], start: int, covered: np.ndarray) -> Optional[BitMatrix]:
+        if not covered[: dead[start]].all():
+            return None
+        if len(prefix) == r:
+            if covered.all():
+                h = BitMatrix(tuple(duals[i] for i in prefix), n)
+                if rank(h) == need_rank:
+                    return h
+            return None
+        for i in range(start, len(duals) - (r - len(prefix)) + 1):
+            if (h := first_leaf(r, prefix + [i], i + 1, covered | hits[i])) is not None:
+                return h
+        return None
 
     limit = len(duals) if max_rows is None else min(max_rows, len(duals))
     for r in range(need_rank, limit + 1):
-        for combo in combinations(range(len(duals)), r):
-            # an empty combo leaves every forbidden set stopping
-            if not np.count_nonzero(stays[list(combo)].all(axis=0)):
-                h = BitMatrix(tuple(duals[i] for i in combo), n)
-                if rank(h) == need_rank:
-                    return h
+        if (h := first_leaf(r, [], 0, np.zeros(forbidden.size, dtype=bool))) is not None:
+            return h
     return None
 
 

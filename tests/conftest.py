@@ -114,11 +114,11 @@ def oracle_minimum_distance(code: LinearCode):
     return min(weights) if weights else math.inf
 
 
-def oracle_minimal_matrix_search(code: LinearCode, predicate: str, max_rows=None):
-    """First full-rank set of distinct nonzero dual words, by row count then
-    lexicographically, whose matrix meets the predicate by its definition."""
+def oracle_passing_candidates(code: LinearCode, predicate: str, max_rows=None):
+    """Every set of distinct nonzero dual words, by row count then
+    lexicographically, whose matrix meets the predicate by its definition,
+    whatever its rank."""
     duals = sorted(v for v in row_space_iter(code.parity_basis) if v)
-    need = code.n - code.k
     if predicate == "s=d":
         d = oracle_minimum_distance(code)
         target = code.n + 1 if d is math.inf else d
@@ -143,9 +143,15 @@ def oracle_minimal_matrix_search(code: LinearCode, predicate: str, max_rows=None
     for r in range(limit + 1):
         for combo in combinations(duals, r):
             h = BitMatrix(combo, code.n)
-            if rank(h) == need and accept(h):
-                return h
-    return None
+            if accept(h):
+                yield h
+
+
+def oracle_minimal_matrix_search(code: LinearCode, predicate: str, max_rows=None):
+    """First full-rank set of distinct nonzero dual words, by row count then
+    lexicographically, whose matrix meets the predicate by its definition."""
+    need = code.n - code.k
+    return next((h for h in oracle_passing_candidates(code, predicate, max_rows) if rank(h) == need), None)
 
 
 def oracle_erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float):

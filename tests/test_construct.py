@@ -20,6 +20,7 @@ from stopset.stopsets import (
     incorrigible_enumerator,
     is_stopping_set,
     optimal_enumerators,
+    profile,
     stopping_distance,
     stopping_set_enumerator,
 )
@@ -167,8 +168,32 @@ def test_minimal_search_result_verified_by_production_enumerators():
         assert h.r <= min(holtol, low_weight)
 
 
+def test_minimal_search_hamming_15_11():
+    # column j of H is the binary expansion of j, for j = 1..15
+    code = LinearCode.from_parity_check(
+        BitMatrix(tuple(sum(((j >> i) & 1) << (j - 1) for j in range(1, 16)) for i in range(4)), 15)
+    )
+    assert (code.n, code.k, code.minimum_distance) == (15, 11, 3)
+    optimal = optimal_enumerators(code)
+    for predicate, rows in (("s=d", 4), ("S=S*", 15), ("D=I", 8)):
+        h = minimal_matrix_search(code, predicate)
+        assert h is not None and h.r == rows, predicate
+        assert rank(h) == 4 and is_parity_check_of(h, code)
+        found = profile(h)
+        if predicate == "s=d":
+            assert found.stopping_distance == 3
+        elif predicate == "S=S*":
+            assert found.stopping == optimal.stopping
+        else:
+            assert found.dead_end == incorrigible_enumerator(code)
+        assert minimal_matrix_search(code, predicate, max_rows=rows - 1) is None
+
+
 def test_minimal_search_max_rows_and_errors():
     assert minimal_matrix_search(RM, "S=S*", max_rows=5) is None
+    for predicate, rows in (("s=d", 5), ("S=S*", 14), ("D=I", 6)):
+        assert minimal_matrix_search(RM, predicate, max_rows=rows - 1) is None
+        assert minimal_matrix_search(RM, predicate, max_rows=rows).r == rows
     with pytest.raises(ValueError):
         minimal_matrix_search(RM, "S==S*")
     with pytest.raises(ValueError, match="max_rows must be >= 0"):

@@ -9,6 +9,7 @@ stays deterministic.
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, zero_code
 from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
-from stopset.gf2 import row_space_iter, select_columns
+from stopset.gf2 import rank, row_space_iter, select_columns
 from stopset.stopsets import (
     _histogram,
     _incorrigible_flags,
@@ -39,6 +40,7 @@ from conftest import (
     oracle_incorrigible_enumerator,
     oracle_is_stopping,
     oracle_minimal_matrix_search,
+    oracle_passing_candidates,
     oracle_stopping_enumerator,
     oracle_weight_enumerator,
     random_code,
@@ -188,12 +190,35 @@ def _rows(h):
     return None if h is None else h.rows
 
 
+def _ranked_search(code, predicate, max_rows=None):
+    """The search's result and the row tuples it passed to rank, in order."""
+    ranked = []
+
+    def recording(h):
+        ranked.append(h.rows)
+        return rank(h)
+
+    with mock.patch("stopset.construct.rank", recording):
+        found = minimal_matrix_search(code, predicate, max_rows)
+    return found, ranked
+
+
 def _check_search(code):
     nk = code.n - code.k
     for predicate in PREDICATES:
         for max_rows in (None, nk, nk + 1):
-            found = minimal_matrix_search(code, predicate, max_rows)
+            found, ranked = _ranked_search(code, predicate, max_rows)
             assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate, max_rows))
+            # rank runs only on passing candidates of at least n-k rows, in
+            # search order, up to the result
+            passing = []
+            for h in oracle_passing_candidates(code, predicate, max_rows):
+                if h.r < nk:
+                    continue
+                passing.append(h.rows)
+                if rank(h) == nk:
+                    break
+            assert ranked == passing
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
