@@ -45,9 +45,6 @@ class Enumerator:
     def __getitem__(self, i: int) -> int:
         return self.coefficients[i]
 
-    def total(self) -> int:
-        return sum(self.coefficients)
-
     def poly_str(self) -> str:
         """Render in the conventional polynomial style, e.g. 1+14x^4+x^8."""
         terms = []
@@ -67,6 +64,11 @@ class Enumerator:
             "coefficients": [str(c) for c in self.coefficients],
             "poly": self.poly_str(),
         }
+
+
+def _first_nonempty(s: Enumerator) -> int:
+    """Smallest positive size with a nonzero count; n+1 if none."""
+    return next((i for i in range(1, s.n + 1) if s[i] > 0), s.n + 1)
 
 
 def _span_blocks(rows: Sequence[int]) -> Iterator[np.ndarray]:
@@ -171,11 +173,8 @@ class LinearCode:
     @cached_property
     def minimum_distance(self) -> int | float:
         """Least nonzero-codeword weight; math.inf for the zero code."""
-        a = self.weight_enumerator
-        for i in range(1, self.n + 1):
-            if a[i] > 0:
-                return i
-        return math.inf
+        d = _first_nonempty(self.weight_enumerator)
+        return math.inf if d > self.n else d
 
     @property
     def d(self) -> int | float:

@@ -5,7 +5,9 @@ matrices, the adversarial construction that forces stopping distance 3,
 the exact minimal-matrix search over dual-row subsets, and the known
 closed-form bounds on the rows needed for optimal iterative decoding.
 The search is a depth-first walk over row subsets in lexicographic
-order, pruned where some forbidden subset can no longer be covered; it
+order on Python-int bitsets over the forbidden subsets.  A node is cut
+when its covered sets joined with the suffix union (every set a row not
+yet passed over can still cover) miss a forbidden subset; the walk
 returns the first full-rank passing subset, as a plain scan would.
 Every dual-word listing is capped by gf2.ROW_SPACE_RANK_LIMIT on n-k,
 and the search also by SEARCH_MAX_DUAL_WORDS, checked from n-k before
@@ -157,17 +159,19 @@ def minimal_matrix_search(
 
     For each row count r the search is a depth-first walk that appends
     dual-word indices in increasing order, so it reaches the r-subsets
-    in the same lexicographic order as a plain scan.  It carries the
-    covered sets of the prefix down as one OR per step, and cuts a
-    subtree only when some forbidden set is covered by no row of the
-    prefix and hit by no row at index >= start (the next index the
-    subtree may use).  No leaf below such a node can pass, so every
-    passing leaf is still reached, in lexicographic order.  The forbidden
-    sets are sorted by the last row that hits them, which makes that
-    test one prefix check.  The GF(2) rank runs only on passing leaves;
-    it is needed because a passing candidate may be rank-deficient (for
-    "s=d" this happens: its rows can cover every small set without
-    spanning the dual).  The 2**(n-k) - 1 nonzero dual words are counted
+    in the same lexicographic order as a plain scan.  Each dual word's
+    covered sets are one Python int with a bit per forbidden set, and
+    alive[s] is the OR of those ints from index s on.  The walk carries
+    the covered sets of the prefix down as one OR per step, and cuts a
+    subtree iff covered | alive[start] misses a forbidden set (start is
+    the next index the subtree may use): that set is covered by no row
+    of the prefix and by no row the subtree may add.  No leaf below such
+    a node can pass, so every passing leaf is still reached, in
+    lexicographic order; a leaf passes iff its covered sets are all of
+    them.  Each node costs a few int operations and no numpy call.  The
+    GF(2) rank runs only on passing leaves; it is needed because a
+    passing candidate may be rank-deficient (for "s=d" this happens:
+    its rows can cover every small set without spanning the dual).  The 2**(n-k) - 1 nonzero dual words are counted
     against SEARCH_MAX_DUAL_WORDS before any of them is listed.
     """
     if predicate not in PREDICATES:
@@ -186,24 +190,20 @@ def minimal_matrix_search(
         forbidden = np.flatnonzero(~_unpack(_incorrigible_flags(code), n))[1:]  # [0] is the empty set
         if predicate == "s=d":
             forbidden = forbidden[np.bitwise_count(forbidden) < code.minimum_distance]
-    # hits[i, f]: dual word i meets forbidden set f exactly once, built a
-    # row at a time so no temporary is larger than one row of masks;
-    # last[f]: the largest index of a row hitting f, -1 if none does
-    hits = np.empty((len(duals), forbidden.size), dtype=bool)
-    last = np.full(forbidden.size, -1)
-    for i, w in enumerate(duals):
-        hits[i] = np.bitwise_count(forbidden & w) == 1
-        last[hits[i]] = i
-    order = np.argsort(last)
-    hits = hits[:, order]
-    # dead[s]: the sets [0, dead[s]) are hit by no row at index >= s
-    dead = np.searchsorted(last[order], np.arange(len(duals) + 1))
+    # bit f of hits[i]: dual word i meets forbidden set f exactly once;
+    # alive[s]: the union of hits[s:], the sets a row at index >= s can cover
+    packed = (np.packbits(np.bitwise_count(forbidden & w) == 1, bitorder="little") for w in duals)
+    hits = [int.from_bytes(p, "little") for p in packed]
+    alive = [0] * (len(duals) + 1)
+    for s in reversed(range(len(duals))):
+        alive[s] = hits[s] | alive[s + 1]
+    full = (1 << forbidden.size) - 1
 
-    def first_leaf(r: int, prefix: list[int], start: int, covered: np.ndarray) -> Optional[BitMatrix]:
-        if not covered[: dead[start]].all():
+    def first_leaf(r: int, prefix: list[int], start: int, covered: int) -> Optional[BitMatrix]:
+        if covered | alive[start] != full:
             return None
         if len(prefix) == r:
-            if covered.all():
+            if covered == full:
                 h = BitMatrix(tuple(duals[i] for i in prefix), n)
                 if rank(h) == need_rank:
                     return h
@@ -215,7 +215,7 @@ def minimal_matrix_search(
 
     limit = len(duals) if max_rows is None else min(max_rows, len(duals))
     for r in range(need_rank, limit + 1):
-        if (h := first_leaf(r, [], 0, np.zeros(forbidden.size, dtype=bool))) is not None:
+        if (h := first_leaf(r, [], 0, 0)) is not None:
             return h
     return None
 

@@ -57,10 +57,6 @@ class ReceivedWord:
         mask = as_mask(erasures)
         return cls(n, word & ~mask, mask)
 
-    @property
-    def erasure_set(self) -> tuple[int, ...]:
-        return indices_from_mask(self.erasures)
-
     def __str__(self) -> str:
         out = []
         for i in range(self.n):

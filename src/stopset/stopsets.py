@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .codes import Enumerator, LinearCode, _enumeration_refusal, _span_blocks
+from .codes import Enumerator, LinearCode, _enumeration_refusal, _first_nonempty, _span_blocks
 from .gf2 import BitMatrix, _column_mask, mask_from_indices, rank, select_columns, transpose
 
 
@@ -228,11 +228,6 @@ def _dead_end(stop_flags: np.ndarray, n: int) -> Enumerator:
     """
     stop_flags[0] &= ~np.uint64(1)  # the empty set
     return _histogram(_upward_closure(stop_flags, range(n)), n)
-
-
-def _first_nonempty(s: Enumerator) -> int:
-    """Smallest positive size with a nonzero count; n+1 if none."""
-    return next((i for i in range(1, s.n + 1) if s[i] > 0), s.n + 1)
 
 
 def _profile(stop_flags: np.ndarray, n: int) -> StoppingProfile:

@@ -31,7 +31,7 @@ assert RM.contains(CW_1278)
 def test_received_word_string_roundtrip():
     r = ReceivedWord.from_string("01?10?")
     assert str(r) == "01?10?"
-    assert r.erasure_set == (3, 6)
+    assert r.erasures == 0b100100
     with pytest.raises(ValueError):
         ReceivedWord.from_string("01x")
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, zero_code
+from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, rm_8_4_4, zero_code
 from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.gf2 import rank, row_space_iter, select_columns
 from stopset.stopsets import (
@@ -203,22 +203,27 @@ def _ranked_search(code, predicate, max_rows=None):
     return found, ranked
 
 
+def _check_search_case(code, predicate, max_rows):
+    nk = code.n - code.k
+    found, ranked = _ranked_search(code, predicate, max_rows)
+    assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate, max_rows))
+    # rank runs only on passing candidates of at least n-k rows, in search
+    # order, up to the result
+    passing = []
+    for h in oracle_passing_candidates(code, predicate, max_rows):
+        if h.r < nk:
+            continue
+        passing.append(h.rows)
+        if rank(h) == nk:
+            break
+    assert ranked == passing
+
+
 def _check_search(code):
     nk = code.n - code.k
     for predicate in PREDICATES:
         for max_rows in (None, nk, nk + 1):
-            found, ranked = _ranked_search(code, predicate, max_rows)
-            assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate, max_rows))
-            # rank runs only on passing candidates of at least n-k rows, in
-            # search order, up to the result
-            passing = []
-            for h in oracle_passing_candidates(code, predicate, max_rows):
-                if h.r < nk:
-                    continue
-                passing.append(h.rows)
-                if rank(h) == nk:
-                    break
-            assert ranked == passing
+            _check_search_case(code, predicate, max_rows)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -232,6 +237,14 @@ def test_minimal_search_matches_oracle_distance_3(n):
     # Hamming [7,4,3] and its shortenings: d = 3 with n-k = 3
     h = select_columns(hamming_7_4().parity_basis, range(1, n + 1))
     _check_search(LinearCode.from_parity_check(h))
+
+
+@pytest.mark.parametrize("predicate", ["s=d", "D=I"])
+def test_minimal_search_matches_oracle_rm_8_4_4(predicate):
+    # 15 dual words, and answers of 5 and 6 rows, above n-k = 4; the 148
+    # forbidden sets of D=I span three 64-bit words.  S=S* is left out
+    # only because its oracle takes seconds.
+    _check_search_case(rm_8_4_4(), predicate, None)
 
 
 @pytest.mark.parametrize("make", [full_code, zero_code, repetition])
