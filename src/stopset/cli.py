@@ -10,6 +10,7 @@ input asked for.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -195,7 +196,10 @@ def _cmd_verify_table1(args: argparse.Namespace) -> int:
     return 0 if rep.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    more than a small search, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stopset",
         description="Exact stopping/dead-end/incorrigible set analysis for binary linear codes.",

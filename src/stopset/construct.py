@@ -171,8 +171,9 @@ def minimal_matrix_search(
     them.  Each node costs a few int operations and no numpy call.  The
     GF(2) rank runs only on passing leaves; it is needed because a
     passing candidate may be rank-deficient (for "s=d" this happens:
-    its rows can cover every small set without spanning the dual).  The 2**(n-k) - 1 nonzero dual words are counted
-    against SEARCH_MAX_DUAL_WORDS before any of them is listed.
+    its rows can cover every small set without spanning the dual).
+    The 2**(n-k) - 1 nonzero dual words are counted against
+    SEARCH_MAX_DUAL_WORDS before any of them is listed.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"predicate must be one of {PREDICATES}")
