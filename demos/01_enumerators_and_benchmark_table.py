@@ -17,7 +17,7 @@ from stopset import (
 )
 
 rm = rm_8_4_4()
-print(f"code: [{rm.n},{rm.k},{rm.d}], self-dual: {rm.dual() == rm}")
+print(f"code: [{rm.n},{rm.k},{rm.minimum_distance}], self-dual: {rm.dual() == rm}")
 print("A(x) =", rm.weight_enumerator.poly_str())
 print("I(x) =", incorrigible_enumerator(rm).poly_str())
 print()

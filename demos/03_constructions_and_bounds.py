@@ -5,7 +5,6 @@ from stopset import (
     bad_matrix,
     complete_matrix,
     dead_end_enumerator,
-    format_matrix,
     incorrigible_enumerator,
     minimal_matrix_search,
     redundancy_bounds,
@@ -23,7 +22,7 @@ rm = rm_8_4_4()
 # {1,2,3} exactly once.
 h_bad, perm = bad_matrix(rm)
 print("adversarial matrix (permutation", perm, "):")
-print(format_matrix(h_bad, header=False))
+print(h_bad)
 print("stopping distance:", stopping_distance(h_bad), "despite d = 4")
 print()
 

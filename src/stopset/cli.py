@@ -24,7 +24,7 @@ from .decoder import (
     iterative_decode,
     optimal_decode,
 )
-from .gf2 import BitMatrix, format_matrix, indices_from_mask, parse_matrix, rank
+from .gf2 import BitMatrix, format_matrix, parse_matrix, rank
 from .harness import ChannelConfig, monte_carlo, table1_report
 from .stopsets import optimal_enumerators, profile, incorrigible_enumerator
 
@@ -50,8 +50,8 @@ def _load(spec: str, kind: type):
     return obj.parity_basis if kind is BitMatrix else LinearCode.from_parity_check(obj)
 
 
-def _emit(obj: dict, pretty_text: Optional[str], pretty: bool) -> None:
-    if pretty and pretty_text is not None:
+def _emit(obj: dict, pretty_text: str, pretty: bool) -> None:
+    if pretty:
         print(pretty_text)
     else:
         print(json.dumps(obj, indent=2))
@@ -108,17 +108,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    h = _load(args.matrix, BitMatrix)
+    source = _load(args.matrix, LinearCode if args.optimal else BitMatrix)
     word = ReceivedWord.from_string(args.word)
     if args.optimal:
-        code = _load(args.code, LinearCode) if args.code else LinearCode.from_parity_check(h)
-        outcome = optimal_decode(code, word)
+        outcome = optimal_decode(source, word)
     else:
-        outcome = iterative_decode(h, word)
+        outcome = iterative_decode(source, word)
     out = {
         "kind": outcome.kind,
         "word": str(outcome.word),
-        "residual": list(indices_from_mask(outcome.residual)),
+        "residual": list(outcome.residual_set),
         "recovered": outcome.recovered,
     }
     _emit(out, f"{outcome.kind}: {outcome.word} residual={out['residual']}", args.pretty)
@@ -205,51 +204,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stopping/dead-end/incorrigible set analysis for binary linear codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("enumerate", help="stopping/dead-end enumerators of a matrix, or a code's enumerators")
+    p = sub.add_parser("enumerate", parents=[common], help="stopping/dead-end enumerators of a matrix, or a code's enumerators")
     p.add_argument("--matrix", help="matrix file or catalog name (H_4, H_5, H_8, H_14)")
     p.add_argument("--code", help="parity-check file or catalog name defining the code")
     p.add_argument("--optimal", action="store_true", help="also compute S*, D*, s* for --code")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("decode", help="decode a received word over {0,1,?}")
+    p = sub.add_parser("decode", parents=[common], help="decode a received word over {0,1,?}")
     p.add_argument("--matrix", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--optimal", action="store_true", help="optimal decoding instead of peeling")
-    p.add_argument("--code", help="code for --optimal (defaults to the matrix's code)")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("simulate", help="Monte Carlo erasure-channel run of both decoders")
+    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo erasure-channel run of both decoders")
     p.add_argument("--code", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("construct", help="build a parity-check matrix with a target property")
+    p = sub.add_parser("construct", parents=[common], help="build a parity-check matrix with a target property")
     p.add_argument("mode", choices=["complete", "low-weight", "bad", "search"])
     p.add_argument("--code", required=True)
     p.add_argument("--weight", type=int, help="weight cap for low-weight (default k+1)")
     p.add_argument("--predicate", choices=construct_mod.PREDICATES, default="D=I",
                    help="search target (default D=I)")
     p.add_argument("--max-rows", type=int)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("bounds", help="row-count bounds for optimal iterative decoding")
+    p = sub.add_parser("bounds", parents=[common], help="row-count bounds for optimal iterative decoding")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify-table1", help="recompute the benchmark table and diff it")
-    p.add_argument("--pretty", action="store_true")
+    p = sub.add_parser("verify-table1", parents=[common], help="recompute the benchmark table and diff it")
     p.set_defaults(func=_cmd_verify_table1)
 
     return parser

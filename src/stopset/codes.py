@@ -176,10 +176,6 @@ class LinearCode:
         d = _first_nonempty(self.weight_enumerator)
         return math.inf if d > self.n else d
 
-    @property
-    def d(self) -> int | float:
-        return self.minimum_distance
-
     def dual(self) -> "LinearCode":
         """The [n, n-k] dual code: generator and parity roles swap."""
         return LinearCode(self.generator_basis, self.parity_basis)

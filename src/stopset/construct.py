@@ -26,6 +26,7 @@ from .codes import LinearCode, _span_blocks
 from .gf2 import (
     BitMatrix,
     _check_row_space_rank,
+    indices_from_mask,
     null_space_basis,
     permute_columns,
     rank,
@@ -96,13 +97,8 @@ def bad_matrix(code: LinearCode) -> tuple[BitMatrix, tuple[int, ...]]:
         raise ValueError(f"construction needs minimum distance >= 4, got d={d}")
     d = int(d)
 
-    support = min(
-        (w for w in code.codewords() if w.bit_count() == d),
-        key=lambda w: sorted(j for j in range(code.n) if (w >> j) & 1),
-    )
-    sup = [j + 1 for j in range(code.n) if (support >> j) & 1]
-    rest = [j for j in range(1, code.n + 1) if j not in set(sup)]
-    perm = tuple(sup + rest)
+    support = min((w for w in code.codewords() if w.bit_count() == d), key=indices_from_mask)
+    perm = indices_from_mask(support) + indices_from_mask(~support & ((1 << code.n) - 1))
 
     hp = permute_columns(code.parity_basis, perm)
     first_d = select_columns(hp, range(1, d + 1))  # (n-k) x d

@@ -109,7 +109,7 @@ def parse_matrix(text: str) -> BitMatrix:
     n: Optional[int] = None
     expect_rows: Optional[int] = None
     first = lines[0].split()
-    if len(first) == 2 and all(tok.isdigit() for tok in first) and not set(lines[0]) <= {"0", "1"}:
+    if len(first) == 2 and all(tok.isdigit() for tok in first):
         n, expect_rows = int(first[0]), int(first[1])
         lines = lines[1:]
     rows = []
@@ -125,12 +125,9 @@ def parse_matrix(text: str) -> BitMatrix:
     return BitMatrix(tuple(rows), n)
 
 
-def format_matrix(m: BitMatrix, header: bool = True) -> str:
-    """Render a matrix in the repo text format."""
-    body = m.row_strings()
-    if header:
-        return "\n".join([f"{m.n} {m.r}", *body]) + "\n"
-    return "\n".join(body) + "\n"
+def format_matrix(m: BitMatrix) -> str:
+    """Render a matrix in the repo text format, header line included."""
+    return "\n".join([f"{m.n} {m.r}", *m.row_strings()]) + "\n"
 
 
 def _rref_rows(rows: list[int], ncols: int) -> tuple[list[int], tuple[int, ...]]:

@@ -364,10 +364,14 @@ def minimum_stopping_decomposition(code: LinearCode) -> Optional[Decomposition]:
         else:
             groups.setdefault(g, []).append(j)
 
+    # Every codeword is constant on a group and zero on the zero
+    # positions, so the split holds iff each group's indicator is a
+    # codeword.  That test also refuses a one-column group (its parity
+    # column is nonzero, so e_j is no codeword), and once it passes the
+    # block indicators and the full positions' e_j are disjoint
+    # codewords spanning the code: k = len(blocks) + len(full_positions).
     blocks = sorted(groups.values())
-    if any(len(b) < 2 or not code.contains(mask_from_indices(b)) for b in blocks):
-        return None
-    if code.k != len(blocks) + len(full_positions):
+    if not all(code.contains(mask_from_indices(b)) for b in blocks):
         return None
     return Decomposition(
         tuple(tuple(b) for b in blocks),

@@ -94,6 +94,18 @@ def test_decode_optimal(capsys):
     assert "?" not in obj["word"]
 
 
+def test_decode_optimal_reads_the_code_of_matrix(capsys):
+    argv = ["decode", "--word", "?1?00110", "--optimal", "--matrix"]
+    assert run(capsys, argv + ["rm_8_4_4"]) == run(capsys, argv + ["H_8"])
+
+
+def test_decode_has_no_code_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--matrix", "H_8", "--word", "?1?00110", "--optimal", "--code", "rm_8_4_4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --code rm_8_4_4" in capsys.readouterr().err
+
+
 def test_decode_channel_violation(capsys):
     code, _ = run(capsys, ["decode", "--matrix", "H_8", "--word", "11000000"])
     assert code == 2

@@ -21,7 +21,7 @@ from conftest import oracle_minimum_distance, poly_multiply, random_code
 
 def test_from_parity_check_rm():
     code = LinearCode.from_parity_check(catalog("H_8"))
-    assert (code.n, code.k, code.d) == (8, 4, 4)
+    assert (code.n, code.k, code.minimum_distance) == (8, 4, 4)
     assert code == rm_8_4_4()
 
 
@@ -30,12 +30,12 @@ def test_from_parity_check_repetition_literal():
     n = 6
     rows = tuple(1 | (1 << i) for i in range(1, n))
     code = LinearCode.from_parity_check(BitMatrix(rows, n))
-    assert (code.n, code.k, code.d) == (n, 1, n)
+    assert (code.n, code.k, code.minimum_distance) == (n, 1, n)
 
 
 def test_from_parity_check_empty_matrix():
     code = LinearCode.from_parity_check(BitMatrix((), 5))
-    assert (code.n, code.k, code.d) == (5, 5, 1)
+    assert (code.n, code.k, code.minimum_distance) == (5, 5, 1)
 
 
 def test_duplicate_rows_same_code():
@@ -81,7 +81,7 @@ def test_dual_involution_and_known_duals():
     assert rm.dual() == rm  # self-dual
     rep = repetition(5)
     even = rep.dual()
-    assert (even.n, even.k, even.d) == (5, 4, 2)
+    assert (even.n, even.k, even.minimum_distance) == (5, 4, 2)
     assert full_code(3).dual() == zero_code(3)
     rng = random.Random(22)
     for _ in range(20):
@@ -111,7 +111,7 @@ def test_direct_sum_small():
     ds = direct_sum([repetition(2), repetition(2)])
     assert ds.weight_enumerator.poly_str() == "1+2x^2+x^4"
     padded = direct_sum([rm_8_4_4(), zero_code(3)])
-    assert (padded.n, padded.k, padded.d) == (11, 4, 4)
+    assert (padded.n, padded.k, padded.minimum_distance) == (11, 4, 4)
     assert all(c >> 8 == 0 for c in padded.codewords())
 
 
@@ -120,7 +120,7 @@ def test_direct_sum_parameters_and_product():
     ds = direct_sum(parts)
     assert ds.n == sum(p.n for p in parts)
     assert ds.k == sum(p.k for p in parts)
-    assert ds.d == min(p.d for p in parts)
+    assert ds.minimum_distance == min(p.minimum_distance for p in parts)
     expected = parts[0].weight_enumerator
     for p in parts[1:]:
         expected = poly_multiply(expected, p.weight_enumerator)
@@ -138,7 +138,7 @@ def test_catalog_codes():
     assert catalog("zero(3)").k == 0
     assert catalog("rm_8_4_4").weight_enumerator.poly_str() == "1+14x^4+x^8"
     h74 = catalog("hamming_7_4")
-    assert (h74.n, h74.k, h74.d) == (7, 4, 3)
+    assert (h74.n, h74.k, h74.minimum_distance) == (7, 4, 3)
 
 
 def test_catalog_matrices():
@@ -184,6 +184,22 @@ def test_inconsistent_bases_refused():
     # a self-dual pair shares its rows and is one code
     code = LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b11,), 2))
     assert list(code.codewords()) == [0, 0b11] and code.weight_enumerator.coefficients == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b111,), 3)), "lengths disagree"),
+        (lambda: LinearCode(BitMatrix((), 0), BitMatrix((), 0)), "length must be positive"),
+        (lambda: LinearCode(BitMatrix((0b11,), 2), BitMatrix((), 2)), "ranks do not add up"),
+        (lambda: full_code(0), "full code length must be >= 1"),
+        (lambda: zero_code(0), "zero code length must be >= 1"),
+    ],
+    ids=["length-mismatch", "empty-length", "rank-sum", "full-code-0", "zero-code-0"],
+)
+def test_malformed_codes_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_equal_codes_from_different_parity_bases():

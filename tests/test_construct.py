@@ -289,6 +289,14 @@ def test_bounds_omissions():
         redundancy_bounds(4, 5)
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_bounds_omit_distance_bounds_below_two(d):
+    rep = redundancy_bounds(8, 4, d)
+    notes = dict(rep.notes)
+    assert rep.sv_bound is None and notes["sv_bound"] == f"omitted: stated for d >= 3, got d={d}"
+    assert rep.hs_bound is None and notes["hs_bound"] == f"omitted: stated for d >= 2, got d={d}"
+
+
 def test_bounds_ht_at_full_m_equals_holtol():
     for n, k in [(8, 4), (10, 3), (12, 7)]:
         rep = redundancy_bounds(n, k, d=3, m=n - k)

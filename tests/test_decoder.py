@@ -38,6 +38,21 @@ def test_received_word_string_roundtrip():
         ReceivedWord(3, 0b001, 0b001)  # known and erased overlap
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ReceivedWord(3, 0b1000, 0), "bits beyond word length 3"),
+        (lambda: ReceivedWord(3, 0, 0b1000), "bits beyond word length 3"),
+        (lambda: iterative_decode(H8, ReceivedWord.from_string("0000000")), "does not match matrix"),
+        (lambda: optimal_decode(RM, ReceivedWord.from_string("0000000")), "does not match code"),
+    ],
+    ids=["values-beyond-n", "erasures-beyond-n", "iterative-length", "optimal-length"],
+)
+def test_malformed_words_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_iterative_h14_recovers_bit3():
     r = ReceivedWord.from_codeword(CW_1278, 8, {1, 2, 3, 7, 8})
     out = iterative_decode(H14, r)

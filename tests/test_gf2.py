@@ -96,6 +96,12 @@ def test_solve_inconsistent():
     assert solve(BitMatrix((0,), 4), 1) is None
 
 
+@pytest.mark.parametrize("rhs", [1 << 3, (1 << 3) | 1, 1 << 10])
+def test_solve_rejects_rhs_beyond_rows(rhs):
+    with pytest.raises(ValueError, match="rhs has bits beyond row count 3"):
+        solve(BitMatrix((0b001, 0b010, 0b100), 3), rhs)
+
+
 def test_solve_dependent_columns_of_h8():
     cols = select_columns(H8, {1, 2, 7, 8})
     x, hom = solve(cols, 0)
@@ -197,7 +203,7 @@ def test_matrix_text_roundtrip():
     again = parse_matrix(text)
     assert again.rows == H8.rows and again.n == H8.n
     # no header
-    assert parse_matrix(format_matrix(H8, header=False)).rows == H8.rows
+    assert parse_matrix(str(H8)).rows == H8.rows
 
 
 def test_matrix_text_comments_and_errors():

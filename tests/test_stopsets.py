@@ -343,7 +343,7 @@ def test_decomposition_examples():
 
 def test_decomposition_r4_f2_z2_is_minimum_stopping():
     code = direct_sum([repetition(4), full_code(2), zero_code(2)])
-    assert (code.n, code.k, code.d) == (8, 3, 1)
+    assert (code.n, code.k, code.minimum_distance) == (8, 3, 1)
     assert minimum_stopping_decomposition(code) is not None
     assert optimal_enumerators(code).stopping == code.weight_enumerator
 
