@@ -58,8 +58,6 @@ def _emit(obj: dict, pretty_text: str, pretty: bool) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.optimal and not args.code:
-        raise ValueError("--optimal requires --code")
     if not args.matrix and not args.code:
         raise ValueError("need --matrix and/or --code")
     out: dict = {}
@@ -79,8 +77,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"D(x) = {p.dead_end.poly_str()}",
             f"s    = {p.stopping_distance}",
         ]
-    if args.code:
-        code = _load(args.code, LinearCode)
+    if args.code or args.optimal:
+        code = _load(args.code or args.matrix, LinearCode)
         a = code.weight_enumerator
         i = incorrigible_enumerator(code)
         out["code"] = {
@@ -168,13 +166,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         out = _matrix_payload(h)
         out["permutation"] = list(perm)
     else:  # search
-        h_opt = construct_mod.minimal_matrix_search(code, args.predicate, args.max_rows)
-        if h_opt is None:
+        h = construct_mod.minimal_matrix_search(code, args.predicate, args.max_rows)
+        if h is None:
             _emit({"found": False}, "no matrix found", args.pretty)
             return 0
-        out = _matrix_payload(h_opt)
+        out = _matrix_payload(h)
         out["found"] = True
-        h = h_opt
     _emit(out, format_matrix(h), args.pretty)
     return 0
 
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="stopping/dead-end enumerators of a matrix, or a code's enumerators")
     p.add_argument("--matrix", help="matrix file or catalog name (H_4, H_5, H_8, H_14)")
     p.add_argument("--code", help="parity-check file or catalog name defining the code")
-    p.add_argument("--optimal", action="store_true", help="also compute S*, D*, s* for --code")
+    p.add_argument("--optimal", action="store_true", help="also compute S*, D*, s* for --code, else for the code --matrix defines")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("decode", parents=[common], help="decode a received word over {0,1,?}")

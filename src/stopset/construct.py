@@ -113,10 +113,10 @@ def bad_matrix(code: LinearCode) -> tuple[BitMatrix, tuple[int, ...]]:
 
     top = []
     for g in _gadget_rows(d):
-        solution = solve(t, g)
-        if solution is None:  # impossible: the restriction space is the even-weight space
+        a = solve(t, g)
+        if a is None:  # impossible: the restriction space is the even-weight space
             raise AssertionError("gadget row not realizable as a dual restriction")
-        top.append(dual_word(solution[0]))
+        top.append(dual_word(a))
     bottom = [dual_word(a) for a in null_space_basis(t).rows]
 
     h = BitMatrix(tuple(top + bottom), code.n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .codes import LinearCode
-from .gf2 import BitMatrix, as_mask, indices_from_mask, rank, select_columns, solve
+from .gf2 import BitMatrix, as_mask, indices_from_mask, rank, rref, select_columns, solve
 from .stopsets import is_incorrigible, is_stopping_set, peel_closure
 
 DECODED = "decoded"
@@ -89,7 +89,7 @@ class DecodeOutcome:
 def iterative_decode(h: BitMatrix, received: ReceivedWord) -> DecodeOutcome:
     """Peeling decoder: solve any check with exactly one erased position.
 
-    Scans rows in index order and restarts after each recovery; the
+    Sweeps the rows in index order until a sweep changes nothing; the
     final erasure set is the peel closure of the initial one regardless
     of schedule.
     """
@@ -110,7 +110,6 @@ def iterative_decode(h: BitMatrix, received: ReceivedWord) -> DecodeOutcome:
                     values |= t
                 erased ^= t
                 progress = True
-                break  # restart the scan after a recovery
     word = ReceivedWord(received.n, values, erased)
     recovered = (received.erasures ^ erased).bit_count()
     if erased == 0:
@@ -122,7 +121,8 @@ def optimal_decode(code: LinearCode, received: ReceivedWord) -> DecodeOutcome:
     """Exhaustive-equivalent decoder: unique completion or ambiguity.
 
     Decodes iff the parity-check columns indexed by the erasure set are
-    linearly independent; fails exactly on incorrigible erasure sets.
+    linearly independent, that is iff their rank equals their number;
+    otherwise the erasure set is incorrigible and the result AMBIGUOUS.
     """
     if received.n != code.n:
         raise ValueError("received word length does not match code")
@@ -132,11 +132,10 @@ def optimal_decode(code: LinearCode, received: ReceivedWord) -> DecodeOutcome:
         if (row & received.values).bit_count() % 2:
             syndrome |= 1 << i
     erased_cols = select_columns(h, received.erasures)
-    solution = solve(erased_cols, syndrome)
-    if solution is None:
+    particular = solve(erased_cols, syndrome)
+    if particular is None:
         raise ChannelModelViolation("known positions match no codeword")
-    particular, homogeneous = solution
-    if homogeneous.r > 0:
+    if rank(erased_cols) < erased_cols.n:
         return DecodeOutcome(AMBIGUOUS, received, received.erasures, 0)
     values = received.values
     for pos, j in enumerate(indices_from_mask(received.erasures)):
@@ -168,11 +167,9 @@ def classify_erasure_set(
 
 
 def is_parity_check_of(h: BitMatrix, code: LinearCode) -> bool:
-    """True iff the rows of H span exactly the dual code."""
-    if h.n != code.n:
-        return False
-    target = code.parity_basis.r
-    if rank(h) != target:
-        return False
-    stacked = BitMatrix(h.rows + code.parity_basis.rows, h.n)
-    return rank(stacked) == target
+    """True iff the rows of H span exactly the dual code.
+
+    The parity basis is the dual code's canonical reduced echelon form,
+    and BitMatrix equality compares lengths too.
+    """
+    return rref(h)[0] == code.parity_basis

@@ -4,7 +4,8 @@ Vectors are plain Python ints: coordinate j (1-based) lives at bit j-1,
 so the word 10100000 of length 8 is the int 0b101 = 5.  Matrices are
 immutable tuples of such row words plus an explicit column count.
 Everything here is a pure function; values are safe to share across
-threads.
+threads.  solve returns one particular solution or None; the solution
+set is that vector plus the span of null_space_basis.
 
 Two size caps live here: MAX_BITS bounds both matrix dimensions, and
 ROW_SPACE_RANK_LIMIT bounds every row space listed in full as Python
@@ -230,13 +231,13 @@ def transpose(m: BitMatrix) -> BitMatrix:
     return BitMatrix(tuple(rows), m.r)
 
 
-def solve(m: BitMatrix, b: int) -> Optional[tuple[int, BitMatrix]]:
+def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Solve M x^T = b^T for a row vector x of length n.
 
     ``b`` is a packed vector of length r (bit i = right-hand side of row
-    i).  Returns None if inconsistent, else (particular solution, basis
-    of the homogeneous space).  Deterministic: free variables are zero
-    in the particular solution.
+    i).  Returns None if inconsistent, else one particular solution.
+    Deterministic: free variables are zero.  The other solutions are x
+    plus the row space of null_space_basis(M).
     """
     if b >> m.r:
         raise ValueError(f"rhs has bits beyond row count {m.r}")
@@ -249,7 +250,7 @@ def solve(m: BitMatrix, b: int) -> Optional[tuple[int, BitMatrix]]:
     for i, p in enumerate(pivots):
         if reduced[i] >> m.n:
             x |= 1 << p
-    return x, null_space_basis(m)
+    return x
 
 
 def _gray_iter(basis_rows: Sequence[int]) -> Iterator[int]:

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,9 +76,12 @@ def test_enumerate_requires_input(capsys):
     assert code == 2
 
 
-def test_enumerate_optimal_needs_code(capsys):
-    code, _ = run(capsys, ["enumerate", "--matrix", "H_4", "--optimal"])
-    assert code == 2
+def test_enumerate_optimal_reads_the_code_of_matrix(capsys):
+    code, out = run(capsys, ["enumerate", "--matrix", "H_4", "--optimal"])
+    assert code == 0
+    assert "S_star" in json.loads(out)["optimal"]
+    assert (0, out) == run(capsys, ["enumerate", "--matrix", "H_4", "--code", "H_4", "--optimal"])
+    assert run(capsys, ["enumerate", "--optimal"])[0] == 2  # still needs a matrix or a code
 
 
 def test_decode_iterative(capsys):
@@ -327,3 +334,15 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["verify-table1"], 0),
+    (["decode", "--matrix", "H_4", "--word", "0"], 2),
+])
+def test_module_entry_point_exits_with_main_status(argv, exit_code):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "stopset.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr

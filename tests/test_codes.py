@@ -209,3 +209,10 @@ def test_equal_codes_from_different_parity_bases():
     twin = LinearCode.from_parity_check(h)
     assert code == twin
     assert hash(code) == hash(twin)
+
+
+def test_code_repr_and_foreign_equality():
+    code = rm_8_4_4()
+    assert repr(code) == "LinearCode(n=8, k=4)"
+    assert code.__eq__(code.parity_basis) is NotImplemented
+    assert code != code.parity_basis

@@ -1,5 +1,6 @@
-"""Property tests: the lattice kernel, the batched incorrigibility test
-and the minimal-matrix search against the brute-force oracles.
+"""Property tests: the lattice kernel, the batched incorrigibility test,
+the minimal-matrix search and the parity-check test against the
+brute-force oracles.
 
 Random codes with n <= 10 (n <= 14 for the incorrigibility test) and
 random dual-spanning parity-check matrices come from the conftest
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, rm_8_4_4, zero_code
 from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
-from stopset.gf2 import rank, row_space_iter, select_columns
+from stopset.decoder import is_parity_check_of
+from stopset.gf2 import BitMatrix, rank, row_space_iter, select_columns
 from stopset.stopsets import (
     _histogram,
     _incorrigible_flags,
@@ -45,6 +47,7 @@ from conftest import (
     oracle_weight_enumerator,
     random_code,
     random_dual_spanning_matrix,
+    random_parity_matrix,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -85,6 +88,39 @@ def test_optimal_matches_complete_matrix(drawn):
     assert star.stopping == stopping_set_enumerator(h_star)
     assert star.dead_end == dead_end_enumerator(h_star)
     assert star.dead_end == incorrigible_enumerator(code)  # D*(x) = I(x)
+
+
+def rank_is_parity_check_of(h, code):
+    """The rank definition: n columns, rank n - k, and the parity basis
+    stacked under H adds no rank."""
+    if h.n != code.n:
+        return False
+    target = code.parity_basis.r
+    return rank(h) == target and rank(BitMatrix(h.rows + code.parity_basis.rows, h.n)) == target
+
+
+@PROPERTY
+@given(codes(), st.integers(0, 3))
+def test_is_parity_check_of_matches_rank_definition(drawn, extra_rows):
+    rng, code = drawn
+    n = code.n
+    h = random_dual_spanning_matrix(rng, code, extra_rows)
+    rows = [*h.rows, 0, *h.rows[:1]]  # a zero row and a duplicate
+    rng.shuffle(rows)
+    padded = BitMatrix(tuple(rows), n)
+    other = random_code(rng, n, rng.randrange(n + 1))
+    matrices = [
+        h,
+        padded,
+        BitMatrix(h.rows[1:], n),
+        other.parity_basis,
+        random_dual_spanning_matrix(rng, other, extra_rows),
+        random_parity_matrix(rng, n, rng.randrange(n + 2)),
+        random_parity_matrix(rng, n + 1, code.parity_basis.r),
+    ]
+    for m in matrices:
+        assert is_parity_check_of(m, code) == rank_is_parity_check_of(m, code)
+    assert is_parity_check_of(h, code) and is_parity_check_of(padded, code)
 
 
 @PROPERTY
