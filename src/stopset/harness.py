@@ -14,8 +14,9 @@ The peeling decoder fails on an erasure set exactly when it is a
 dead-end set, the optimal decoder exactly when it is incorrigible.
 Under the enumeration guard the simulation therefore builds the
 packed D and I flags once (they also give the analytic rates) and reads
-each trial's two outcomes as two bit lookups.  Above the guard it peels
-and eliminates each chunk's distinct masks instead.
+each chunk's two failure counts from them, reading each mask once.  Above
+the guard it peels each chunk's distinct masks and eliminates the
+residuals instead.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .codes import Enumerator, LinearCode, _enumeration_refusal, catalog, rm_8_4
 from .decoder import is_parity_check_of
 from .gf2 import BitMatrix
 from .stopsets import (
-    _flagged,
+    _count_flagged,
     _histogram,
     _incorrigible_flags,
-    _pack,
     _profile,
     _stopping_flags,
     batch_peel_residuals,
@@ -45,6 +45,7 @@ from .stopsets import (
 )
 
 _TRIAL_BLOCK = 4096  # part of the stream definition; do not change casually
+_TRIAL_CHUNK = 1 << 16  # trials classified at a time; results do not depend on it
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -132,18 +133,25 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
     never reaching the next multiple of 2**11.  For epsilon < 1,
     T <= 2**53 - 1, so the threshold fits in 64 bits.  Erased coordinate
     j sets bit j of the mask.
+
+    Each row of erasures is padded with zeros to the narrowest of 8, 16,
+    32 and 64 bits that holds n, so one flat little-endian packbits of the
+    block reads back as one unsigned word per trial.
     """
     threshold = np.uint64(math.ceil(epsilon * 2.0**53) << 11)
+    width = max(8, 1 << (n - 1).bit_length())
     out = np.empty(stop - start, dtype=np.uint64)
-    erased = np.zeros((_TRIAL_BLOCK, 64), dtype=bool)
+    erased = np.zeros((_TRIAL_BLOCK, width), dtype=bool)
     filled = 0
     for b in range(start // _TRIAL_BLOCK, (stop - 1) // _TRIAL_BLOCK + 1):
         raw = Philox(key=seed, counter=[0, 0, b, 0]).random_raw((_TRIAL_BLOCK, n))
         lo = max(start - b * _TRIAL_BLOCK, 0)
         hi = min(stop - b * _TRIAL_BLOCK, _TRIAL_BLOCK)
-        np.less(raw[lo:hi], threshold, out=erased[: hi - lo, :n])
-        out[filled : filled + hi - lo] = _pack(erased[: hi - lo])
-        filled += hi - lo
+        rows = hi - lo
+        np.less(raw[lo:hi], threshold, out=erased[:rows, :n])
+        packed = np.packbits(erased[:rows].reshape(-1), bitorder="little")
+        out[filled : filled + rows] = packed.view(f"<u{width // 8}")
+        filled += rows
     return out
 
 
@@ -154,11 +162,21 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     only on the erasure set, never on the transmitted word.  Iterative
     failure means the erasure set is a dead-end set (its peeling fixpoint
     is nonempty); optimal failure means it is incorrigible.  Under the
-    enumeration guard both are read per trial from the packed D
-    and I flags, which also give the analytic rates.  Above it each
-    chunk of 2**16 trials is classified on its distinct masks only: a
-    batched peel and a batched XOR-basis rank test.  Trials come from
-    the pinned stream of _erasure_masks either way.
+    enumeration guard both are counted per chunk of trials from the
+    packed D and I flags, which also give the analytic rates.  Above it
+    each chunk is classified on its distinct masks only: a batched peel,
+    then a batched XOR-basis rank test of the distinct nonempty
+    residuals of at most n - k elements.  A mask holds a codeword
+    support iff its residual does, since every support is a stopping
+    set; a larger residual always holds one.  Trials come from the
+    pinned stream of _erasure_masks either way, so the counts do not
+    depend on the chunk size.
+
+    Every incorrigible set is a dead-end set: a nonzero codeword's
+    support meets each row of any parity-check matrix of the code an
+    even number of times, so it is a nonempty stopping set.  The optimal
+    failures are therefore a subset of the iterative ones, and the
+    iterative-only count is their difference.
 
     Works for any n <= 64; above the guard in n the analytic fields and
     the iterative dominant term are None, with the reason in ``notes``.
@@ -186,27 +204,32 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
         s = h_profile.stopping_distance
         dominant_it = 0.0 if s > n else h_profile.stopping[s] * cfg.epsilon**s
 
-        def classify(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return _flagged(it_flags, masks), _flagged(opt_flags, masks)
+        def classify(masks: np.ndarray) -> tuple[int, int]:
+            return _count_flagged(masks, n, it_flags, opt_flags)
 
     else:
         dominant_note = f"omitted: {refusal}; {k_refusal}" if k_refusal else f"iterative omitted: {refusal}"
         notes = (("analytic", f"omitted: {refusal}"), ("dominant_terms", dominant_note))
 
-        def classify(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            uniq, inverse = np.unique(masks, return_inverse=True)
-            return (batch_peel_residuals(h, uniq) != 0)[inverse], is_incorrigible(code, uniq)[inverse]
+        def classify(masks: np.ndarray) -> tuple[int, int]:
+            uniq, counts = np.unique(masks, return_counts=True)
+            residuals = batch_peel_residuals(h, uniq)
+            dead = residuals != 0
+            # the residual holds every codeword support the mask holds;
+            # past n - k elements its parity-check columns are dependent
+            incorrigible = np.bitwise_count(residuals) > n - code.k
+            untested = dead & ~incorrigible
+            if untested.any():
+                distinct, inverse = np.unique(residuals[untested], return_inverse=True)
+                incorrigible[untested] = is_incorrigible(code, distinct)[inverse]
+            return int(counts[dead].sum()), int(counts[incorrigible].sum())
 
-    it_failures = 0
-    opt_failures = 0
-    it_only = 0
-    chunk = 1 << 16
-    for start in range(0, cfg.trials, chunk):
-        masks = _erasure_masks(cfg.seed, start, min(start + chunk, cfg.trials), n, cfg.epsilon)
+    it_failures = opt_failures = 0
+    for start in range(0, cfg.trials, _TRIAL_CHUNK):
+        masks = _erasure_masks(cfg.seed, start, min(start + _TRIAL_CHUNK, cfg.trials), n, cfg.epsilon)
         it_fail, opt_fail = classify(masks)
-        it_failures += int(np.count_nonzero(it_fail))
-        opt_failures += int(np.count_nonzero(opt_fail))
-        it_only += int(np.count_nonzero(it_fail & ~opt_fail))
+        it_failures += it_fail
+        opt_failures += opt_fail
 
     def halfwidth(fails: int) -> float:
         p = fails / cfg.trials
@@ -225,7 +248,7 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
         ci99_it=halfwidth(it_failures),
         opt_failures=opt_failures,
         it_failures=it_failures,
-        it_only_failures=it_only,
+        it_only_failures=it_failures - opt_failures,
         dominant_opt=dominant_opt,
         dominant_it=dominant_it,
         notes=notes,

@@ -6,7 +6,7 @@ enumerators count sets over the 2**n erasure subsets with one kernel on
 packed bits: word q of a flag array holds subsets 64q..64q+63, the low
 six coordinates indexing the bit and the rest the word.  Only this
 module knows that layout; other modules pass flag arrays back to its
-functions (_flagged, _unpack, _histogram) and never index the words.
+functions (_count_flagged, _unpack, _histogram) and never index the words.
 Flags are built a word at a time, closed upward over the subset lattice
 (an OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
@@ -61,10 +61,20 @@ def _locate(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return masks >> np.uint64(6), np.uint64(1) << (masks & np.uint64(63))
 
 
-def _flagged(flags: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Whether each subset mask is flagged in packed flags."""
+def _count_flagged(masks: np.ndarray, n: int, *flag_arrays: np.ndarray) -> tuple[int, ...]:
+    """How many of the subset masks each packed flag array flags.
+
+    Each mask is read once, whatever the number of flag arrays.  While
+    the 2**n subsets are fewer than the masks, the masks are tallied per
+    subset and each array's flags select from the tally, which costs
+    less than locating every mask; otherwise each mask is located in
+    the packed words.
+    """
+    if 1 << n < masks.size:
+        tally = np.bincount(masks.astype(np.intp), minlength=1 << n)
+        return tuple(int(tally @ _unpack(flags, n)) for flags in flag_arrays)
     words, bits = _locate(masks)
-    return flags[words] & bits != 0
+    return tuple(int(np.count_nonzero(flags[words] & bits)) for flags in flag_arrays)
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:

@@ -95,7 +95,7 @@ def test_erasure_stream_golden():
     assert np.array_equal(_erasure_masks(1, 4094, 4098, 64, 0.5), whole[4094:4098])
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 33, 63, 64])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 32, 33, 63, 64])
 def test_erasure_stream_matches_float_definition(n):
     # the raw-word threshold against u < epsilon on the generator's doubles
     for epsilon in (5e-324, 2.0**-53, 0.1, math.nextafter(0.3, 0), math.nextafter(0.3, 1), 0.5, 1 - 2.0**-53):
@@ -185,6 +185,20 @@ def test_monte_carlo_chunk_boundary_recount():
         it_only += it_fail[m] and not opt_fail[m]
     assert (rep.it_failures, rep.opt_failures, rep.it_only_failures) == (it, opt, it_only)
     assert it_only > 0
+
+
+@pytest.mark.parametrize("chunk", [1000, 4097])
+def test_monte_carlo_does_not_depend_on_chunk_size(chunk, monkeypatch):
+    # neither size is a multiple of the 4096-trial block; 9000 trials
+    # make one chunk at the default size
+    h = catalog("H_4")
+    cfg = ChannelConfig(epsilon=0.4, trials=9000, seed=77)
+    for guard in (RM.n, RM.n - 1):  # flag lookup, then peel and rank
+        monkeypatch.setenv("STOPSET_MAX_N", str(guard))
+        default = monte_carlo(RM, h, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_TRIAL_CHUNK", chunk)
+            assert monte_carlo(RM, h, cfg) == default, guard
 
 
 def test_monte_carlo_above_enumeration_guard():

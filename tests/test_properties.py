@@ -26,6 +26,7 @@ from stopset.stopsets import (
     _incorrigible_flags,
     _optimal_flags,
     _packed,
+    _profile,
     _stopping_flags,
     _unpack,
     dead_end_enumerator,
@@ -54,8 +55,8 @@ PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=N
 
 
 @st.composite
-def codes(draw):
-    n = draw(st.integers(1, 10))
+def codes(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return rng, random_code(rng, n, draw(st.integers(0, n)))
 
@@ -132,6 +133,18 @@ def test_flags_match_oracles_mask_by_mask(drawn):
     everything = range(1 << code.n)
     assert _unpack(_incorrigible_flags(code), code.n).tolist() == [bool(contained_supports(code, m)) for m in everything]
     assert _unpack(_optimal_flags(code), code.n).tolist() == [oracle_is_stopping(h_star, m) for m in everything]
+
+
+@PROPERTY
+@given(codes(max_n=12), st.integers(0, 3))
+def test_incorrigible_sets_are_dead_end_sets(drawn, extra_rows):
+    # why monte_carlo counts the iterative-only failures as D minus I
+    rng, code = drawn
+    h = random_dual_spanning_matrix(rng, code, extra_rows)
+    dead_end = _stopping_flags(h)
+    _profile(dead_end, code.n)  # closes the stopping flags into the dead-end flags
+    incorrigible = _unpack(_incorrigible_flags(code), code.n)
+    assert not (incorrigible & ~_unpack(dead_end, code.n)).any()
 
 
 def _check_against_oracles(code, h):

@@ -16,6 +16,10 @@ from stopset.codes import (
 from stopset.construct import bad_matrix, complete_matrix
 from stopset.gf2 import BitMatrix, mask_from_indices
 from stopset.stopsets import (
+    _count_flagged,
+    _incorrigible_flags,
+    _profile,
+    _stopping_flags,
     batch_peel_residuals,
     dead_end_enumerator,
     incorrigible_enumerator,
@@ -128,6 +132,21 @@ def test_batch_peel_matches_scalar():
         batched = batch_peel_residuals(h, masks)
         for m, res in zip(masks.tolist(), batched.tolist()):
             assert res == peel_closure(h, m)
+
+
+@pytest.mark.parametrize("size", [100, 5000])  # fewer and more masks than the 2^10 subsets
+def test_count_flagged_matches_scalar_predicates(size):
+    rng = random.Random(size)
+    code = random_code(rng, 10, 5)
+    h = random_dual_spanning_matrix(rng, code, 2)
+    dead_end = _stopping_flags(h)
+    _profile(dead_end, code.n)  # closes the stopping flags into the dead-end flags
+    masks = np.array([rng.randrange(0, 1 << code.n) for _ in range(size)], dtype=np.uint64)
+    expected = (
+        sum(peel_closure(h, m) != 0 for m in masks.tolist()),
+        sum(is_incorrigible(code, m) for m in masks.tolist()),
+    )
+    assert _count_flagged(masks, code.n, dead_end, _incorrigible_flags(code)) == expected
 
 
 def test_is_incorrigible_examples():
