@@ -8,7 +8,9 @@ block.  Every trial's erasure pattern is therefore a pure function of
 (seed, trial index), independent of how the work is partitioned.  The
 erasures are read by thresholding the generator's raw 64-bit words,
 which selects exactly the coordinates whose uniform double falls below
-epsilon.
+epsilon.  A chunk's blocks are drawn on ``_WORKERS`` threads, one per CPU
+in the process's affinity mask; the stream fixes every bit, so the
+worker count changes nothing but the wall time.
 
 The peeling decoder fails on an erasure set exactly when it is a
 dead-end set, the optimal decoder exactly when it is incorrigible.
@@ -22,6 +24,8 @@ residuals instead.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,7 +49,10 @@ from .stopsets import (
 )
 
 _TRIAL_BLOCK = 4096  # part of the stream definition; do not change casually
+_DRAW_ROWS = _TRIAL_BLOCK // 2  # rows of raw words drawn at a time; bounds each worker's buffer
 _TRIAL_CHUNK = 1 << 16  # trials classified at a time; results do not depend on it
+# threads drawing a chunk's blocks; results do not depend on it
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -136,22 +143,64 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
 
     Each row of erasures is padded with zeros to the narrowest of 8, 16,
     32 and 64 bits that holds n, so one flat little-endian packbits of the
-    block reads back as one unsigned word per trial.
+    rows reads back as one unsigned word per trial.
+
+    Block b is a pure function of (seed, b): its words are the stream of
+    the generator keyed by the seed from counter (0, 0, b, 0).  Each
+    worker builds one generator and resets its counter there for each of
+    its blocks, so blocks can be drawn in any order on any thread.  A
+    block is drawn _DRAW_ROWS rows at a time; each draw is a whole number
+    of 4-word Philox outputs, so the next draw continues the counter
+    exactly.  With W = min(_WORKERS, blocks) workers, worker w takes
+    blocks w, w + W, w + 2W, ... of the range, the calling thread being
+    worker 0, and writes each block's masks to that block's own rows of
+    the result.  Every bit is thus the same for any W.  Numpy releases the
+    GIL while it draws, compares and packs, so the workers run in
+    parallel; an error in any of them is raised here once all have
+    stopped.
     """
     threshold = np.uint64(math.ceil(epsilon * 2.0**53) << 11)
     width = max(8, 1 << (n - 1).bit_length())
     out = np.empty(stop - start, dtype=np.uint64)
-    erased = np.zeros((_TRIAL_BLOCK, width), dtype=bool)
-    filled = 0
-    for b in range(start // _TRIAL_BLOCK, (stop - 1) // _TRIAL_BLOCK + 1):
-        raw = Philox(key=seed, counter=[0, 0, b, 0]).random_raw((_TRIAL_BLOCK, n))
-        lo = max(start - b * _TRIAL_BLOCK, 0)
-        hi = min(stop - b * _TRIAL_BLOCK, _TRIAL_BLOCK)
-        rows = hi - lo
-        np.less(raw[lo:hi], threshold, out=erased[:rows, :n])
-        packed = np.packbits(erased[:rows].reshape(-1), bitorder="little")
-        out[filled : filled + rows] = packed.view(f"<u{width // 8}")
-        filled += rows
+    blocks = range(start // _TRIAL_BLOCK, (stop - 1) // _TRIAL_BLOCK + 1)
+    workers = max(1, min(_WORKERS, len(blocks)))
+
+    def draw(share: range) -> None:
+        gen = Philox(key=seed)
+        state = gen.state
+        erased = np.zeros((_DRAW_ROWS, width), dtype=bool)
+        for b in share:
+            state["state"]["counter"][:] = (0, 0, b, 0)
+            gen.state = state
+            first = b * _TRIAL_BLOCK
+            for row in range(first, min(first + _TRIAL_BLOCK, stop), _DRAW_ROWS):
+                raw = gen.random_raw((_DRAW_ROWS, n))
+                lo, hi = max(row, start), min(row + _DRAW_ROWS, stop)
+                if lo < hi:
+                    np.less(raw[lo - row : hi - row], threshold, out=erased[: hi - lo, :n])
+                    packed = np.packbits(erased[: hi - lo].reshape(-1), bitorder="little")
+                    out[lo - start : hi - start] = packed.view(f"<u{width // 8}")
+
+    errors: list[BaseException] = []
+
+    def guarded(share: range) -> None:
+        try:
+            draw(share)
+        except BaseException as exc:  # raised in the calling thread below
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=guarded, args=(blocks[w::workers],))
+            thread.start()
+            threads.append(thread)
+        draw(blocks[::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -62,7 +62,7 @@ def _locate(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_flagged(masks: np.ndarray, n: int, *flag_arrays: np.ndarray) -> tuple[int, ...]:
-    """How many of the subset masks each packed flag array flags.
+    """How many of the uint64 subset masks each packed flag array flags.
 
     Each mask is read once, whatever the number of flag arrays.  While
     the 2**n subsets are fewer than the masks, the masks are tallied per
@@ -71,7 +71,8 @@ def _count_flagged(masks: np.ndarray, n: int, *flag_arrays: np.ndarray) -> tuple
     the packed words.
     """
     if 1 << n < masks.size:
-        tally = np.bincount(masks.astype(np.intp), minlength=1 << n)
+        # every mask is below 2**n < masks.size, so the int64 view is exact
+        tally = np.bincount(masks.view(np.int64), minlength=1 << n)
         return tuple(int(tally @ _unpack(flags, n)) for flags in flag_arrays)
     words, bits = _locate(masks)
     return tuple(int(np.count_nonzero(flags[words] & bits)) for flags in flag_arrays)

@@ -1,9 +1,12 @@
 import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,8 +116,8 @@ def test_erasure_threshold_at_the_boundary(monkeypatch):
         words = np.array([(t - 1) << 11, (t << 11) - 1, t << 11, (t << 11) | 0x7FF], dtype=np.uint64)
 
         class RawWords:  # stands in for Philox: every row of a block is `words`
-            def __init__(self, key, counter):
-                pass
+            def __init__(self, key):
+                self.state = {"state": {"counter": np.zeros(4, dtype=np.uint64)}}
 
             def random_raw(self, size):
                 return np.resize(words, size)
@@ -199,6 +202,56 @@ def test_monte_carlo_does_not_depend_on_chunk_size(chunk, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(harness, "_TRIAL_CHUNK", chunk)
             assert monte_carlo(RM, h, cfg) == default, guard
+
+
+@pytest.mark.parametrize("guard", [RM.n, RM.n - 1])  # flag lookup, then peel and rank
+def test_monte_carlo_does_not_depend_on_worker_count(guard, monkeypatch):
+    # 20,000 trials are five blocks: every worker count splits them unevenly
+    h = catalog("H_4")
+    cfg = ChannelConfig(epsilon=0.4, trials=20_000, seed=77)
+    monkeypatch.setenv("STOPSET_MAX_N", str(guard))
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    single = monte_carlo(RM, h, cfg)
+    for workers in (1, 2, 3):
+        for chunk in (harness._TRIAL_CHUNK, 4097):
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "_WORKERS", workers)
+                mp.setattr(harness, "_TRIAL_CHUNK", chunk)
+                assert monte_carlo(RM, h, cfg) == single, (workers, chunk)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_erasure_stream_does_not_depend_on_worker_count(workers, monkeypatch):
+    monkeypatch.setattr(harness, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for n in (8, 17, 64):
+            for start, stop in ((4090, 4100), (37, 9000), (0, 0)):  # two straddle block boundaries
+                assert np.array_equal(
+                    _erasure_masks(5, start, stop, n, 0.3), oracle_erasure_masks(5, start, stop, n, 0.3)
+                ), (n, start, stop)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("block", [0, 5])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_error_reaches_the_caller(workers, block, monkeypatch):
+    # 40,000 trials are blocks 0..9 of one chunk; the calling thread draws
+    # block 0, and block 5 too with one worker, a started thread otherwise
+    class FailsOnBlock(Philox):
+        def random_raw(self, size=None, output=True):
+            if self.state["state"]["counter"][2] == block:
+                raise RuntimeError(f"no words for block {block}")
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(harness, "_WORKERS", workers)
+    monkeypatch.setattr(harness, "Philox", FailsOnBlock)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"block {block}"):
+        monte_carlo(RM, catalog("H_4"), ChannelConfig(epsilon=0.4, trials=40_000, seed=77))
+    assert threading.active_count() == threads
 
 
 def test_monte_carlo_above_enumeration_guard():
