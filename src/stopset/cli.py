@@ -26,7 +26,7 @@ from .decoder import (
 )
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank
 from .harness import ChannelConfig, monte_carlo, table1_report
-from .stopsets import optimal_enumerators, profile, incorrigible_enumerator
+from .stopsets import StoppingProfile, optimal_enumerators, profile, incorrigible_enumerator
 
 
 def _load(spec: str, kind: type):
@@ -57,6 +57,22 @@ def _emit(obj: dict, pretty_text: str, pretty: bool) -> None:
         print(json.dumps(obj, indent=2))
 
 
+def _profile_block(p: StoppingProfile, star: bool) -> tuple[dict, list[str]]:
+    """JSON fields and text lines of S, D and s, or of S*, D* and s*."""
+    mark, key = ("*", "_star") if star else ("", "")
+    fields = {
+        f"S{key}": p.stopping.to_json_obj(),
+        f"D{key}": p.dead_end.to_json_obj(),
+        "stopping_distance": p.stopping_distance,
+    }
+    lines = [
+        f"S{mark}(x) = {p.stopping.poly_str()}",
+        f"D{mark}(x) = {p.dead_end.poly_str()}",
+        f"s{mark:<4}= {p.stopping_distance}",
+    ]
+    return fields, lines
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not args.matrix and not args.code:
         raise ValueError("need --matrix and/or --code")
@@ -64,19 +80,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     lines = []
     if args.matrix:
         h = _load(args.matrix, BitMatrix)
-        p = profile(h)
-        out["matrix"] = {
-            "rows": h.r,
-            "n": h.n,
-            "S": p.stopping.to_json_obj(),
-            "D": p.dead_end.to_json_obj(),
-            "stopping_distance": p.stopping_distance,
-        }
-        lines += [
-            f"S(x) = {p.stopping.poly_str()}",
-            f"D(x) = {p.dead_end.poly_str()}",
-            f"s    = {p.stopping_distance}",
-        ]
+        fields, block = _profile_block(profile(h), star=False)
+        out["matrix"] = {"rows": h.r, "n": h.n, **fields}
+        lines += block
     if args.code or args.optimal:
         code = _load(args.code or args.matrix, LinearCode)
         a = code.weight_enumerator
@@ -90,17 +96,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         }
         lines += [f"A(x) = {a.poly_str()}", f"I(x) = {i.poly_str()}"]
         if args.optimal:
-            star = optimal_enumerators(code)
-            out["optimal"] = {
-                "S_star": star.stopping.to_json_obj(),
-                "D_star": star.dead_end.to_json_obj(),
-                "stopping_distance": star.stopping_distance,
-            }
-            lines += [
-                f"S*(x) = {star.stopping.poly_str()}",
-                f"D*(x) = {star.dead_end.poly_str()}",
-                f"s*   = {star.stopping_distance}",
-            ]
+            out["optimal"], block = _profile_block(optimal_enumerators(code), star=True)
+            lines += block
     _emit(out, "\n".join(lines), args.pretty)
     return 0
 

@@ -9,8 +9,9 @@ block.  Every trial's erasure pattern is therefore a pure function of
 erasures are read by thresholding the generator's raw 64-bit words,
 which selects exactly the coordinates whose uniform double falls below
 epsilon.  A chunk's blocks are drawn on ``_WORKERS`` threads, one per CPU
-in the process's affinity mask; the stream fixes every bit, so the
-worker count changes nothing but the wall time.
+in the process's affinity mask: the calling thread and a thread pool
+started for the chunk.  The stream fixes every bit, so the worker count
+changes nothing but the wall time.
 
 The peeling decoder fails on an erasure set exactly when it is a
 dead-end set, the optimal decoder exactly when it is incorrigible.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -151,18 +152,23 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
     its blocks, so blocks can be drawn in any order on any thread.  A
     block is drawn _DRAW_ROWS rows at a time; each draw is a whole number
     of 4-word Philox outputs, so the next draw continues the counter
-    exactly.  With W = min(_WORKERS, blocks) workers, worker w takes
-    blocks w, w + W, w + 2W, ... of the range, the calling thread being
-    worker 0, and writes each block's masks to that block's own rows of
-    the result.  Every bit is thus the same for any W.  Numpy releases the
-    GIL while it draws, compares and packs, so the workers run in
-    parallel; an error in any of them is raised here once all have
-    stopped.
+    exactly, and the last block's draws stop at the one holding trial
+    stop - 1.  The masks go to one buffer covering the range's whole
+    blocks: every draw is thresholded and packed whole into its own rows,
+    and the call returns the rows of [start, stop).
+
+    With W = min(_WORKERS, blocks) workers, worker w takes blocks w,
+    w + W, w + 2W, ... of the range; the calling thread is worker 0 and a
+    thread pool runs the others.  Every bit is thus the same for any W.
+    Numpy releases the GIL while it draws, compares and packs, so the
+    workers run in parallel.  An error in any of them is raised here only
+    after every worker has stopped.
     """
     threshold = np.uint64(math.ceil(epsilon * 2.0**53) << 11)
     width = max(8, 1 << (n - 1).bit_length())
-    out = np.empty(stop - start, dtype=np.uint64)
     blocks = range(start // _TRIAL_BLOCK, (stop - 1) // _TRIAL_BLOCK + 1)
+    base = blocks.start * _TRIAL_BLOCK
+    out = np.empty(len(blocks) * _TRIAL_BLOCK, dtype=np.uint64)
     workers = max(1, min(_WORKERS, len(blocks)))
 
     def draw(share: range) -> None:
@@ -174,34 +180,15 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
             gen.state = state
             first = b * _TRIAL_BLOCK
             for row in range(first, min(first + _TRIAL_BLOCK, stop), _DRAW_ROWS):
-                raw = gen.random_raw((_DRAW_ROWS, n))
-                lo, hi = max(row, start), min(row + _DRAW_ROWS, stop)
-                if lo < hi:
-                    np.less(raw[lo - row : hi - row], threshold, out=erased[: hi - lo, :n])
-                    packed = np.packbits(erased[: hi - lo].reshape(-1), bitorder="little")
-                    out[lo - start : hi - start] = packed.view(f"<u{width // 8}")
+                np.less(gen.random_raw((_DRAW_ROWS, n)), threshold, out=erased[:, :n])
+                packed = np.packbits(erased.reshape(-1), bitorder="little")
+                out[row - base : row - base + _DRAW_ROWS] = packed.view(f"<u{width // 8}")
 
-    errors: list[BaseException] = []
-
-    def guarded(share: range) -> None:
-        try:
-            draw(share)
-        except BaseException as exc:  # raised in the calling thread below
-            errors.append(exc)
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=guarded, args=(blocks[w::workers],))
-            thread.start()
-            threads.append(thread)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        drawn = pool.map(draw, [blocks[w::workers] for w in range(1, workers)])
         draw(blocks[::workers])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return out
+        list(drawn)  # raises a worker's error
+    return out[start - base : stop - base]
 
 
 def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> PerformanceReport:
@@ -377,21 +364,16 @@ def table1_report() -> Table1Report:
         Table1Entry("A(x)", Enumerator(_TABLE1_A), rm.weight_enumerator),
         Table1Entry("I(x)", Enumerator(_TABLE1_I), i_poly),
     ]
-    computed: dict[str, tuple[Enumerator, Enumerator]] = {}
-    for name in ("H_4", "H_5", "H_8", "H_14"):
-        p = profile(catalog(name))
-        computed[name] = (p.stopping, p.dead_end)
-    star = optimal_enumerators(rm)
-    computed["H*"] = (star.stopping, star.dead_end)
+    profiles = {name: profile(catalog(name)) for name in ("H_4", "H_5", "H_8", "H_14")}
+    profiles["H*"] = optimal_enumerators(rm)
     for name, (exp_s, exp_d) in _TABLE1_SD.items():
-        s_poly, d_poly = computed[name]
-        entries.append(Table1Entry(f"S(x) {name}", Enumerator(exp_s), s_poly))
-        entries.append(Table1Entry(f"D(x) {name}", Enumerator(exp_d), d_poly))
+        entries.append(Table1Entry(f"S(x) {name}", Enumerator(exp_s), profiles[name].stopping))
+        entries.append(Table1Entry(f"D(x) {name}", Enumerator(exp_d), profiles[name].dead_end))
 
     flags = (
-        ("h14_stopping_enumerator_is_optimal", computed["H_14"][0] == star.stopping),
-        ("h8_dead_end_is_incorrigible", computed["H_8"][1] == i_poly),
-        ("h14_dead_end_is_incorrigible", computed["H_14"][1] == i_poly),
-        ("star_dead_end_is_incorrigible", computed["H*"][1] == i_poly),
+        ("h14_stopping_enumerator_is_optimal", profiles["H_14"].stopping == profiles["H*"].stopping),
+        ("h8_dead_end_is_incorrigible", profiles["H_8"].dead_end == i_poly),
+        ("h14_dead_end_is_incorrigible", profiles["H_14"].dead_end == i_poly),
+        ("star_dead_end_is_incorrigible", profiles["H*"].dead_end == i_poly),
     )
     return Table1Report(tuple(entries), flags)

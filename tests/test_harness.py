@@ -211,6 +211,7 @@ def test_monte_carlo_does_not_depend_on_worker_count(guard, monkeypatch):
     cfg = ChannelConfig(epsilon=0.4, trials=20_000, seed=77)
     monkeypatch.setenv("STOPSET_MAX_N", str(guard))
     monkeypatch.setattr(harness, "_WORKERS", 1)
+    threads = threading.active_count()
     single = monte_carlo(RM, h, cfg)
     for workers in (1, 2, 3):
         for chunk in (harness._TRIAL_CHUNK, 4097):
@@ -218,19 +219,36 @@ def test_monte_carlo_does_not_depend_on_worker_count(guard, monkeypatch):
                 mp.setattr(harness, "_WORKERS", workers)
                 mp.setattr(harness, "_TRIAL_CHUNK", chunk)
                 assert monte_carlo(RM, h, cfg) == single, (workers, chunk)
+    assert threading.active_count() == threads  # no drawing thread outlives its call
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_erasure_stream_does_not_depend_on_worker_count(workers, monkeypatch):
+    # each block is drawn 2048 rows at a time, up to the draw that holds the
+    # range's last trial: the raw-word draws do not depend on the workers
+    draws = []
+
+    class CountsDraws(Philox):
+        def random_raw(self, size=None, output=True):
+            draws.append(size)  # one atomic append per draw, from any thread
+            return super().random_raw(size, output)
+
     monkeypatch.setattr(harness, "_WORKERS", workers)
+    monkeypatch.setattr(harness, "Philox", CountsDraws)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
         for n in (8, 17, 64):
-            for start, stop in ((4090, 4100), (37, 9000), (0, 0)):  # two straddle block boundaries
+            # (4090, 4100) and (37, 9000) straddle block boundaries; 16,960
+            # trials are the last chunk of a 10^6-trial run
+            for (start, stop), count in {
+                (4090, 4100): 3, (37, 9000): 5, (0, 0): 0, (0, 100): 1, (0, 2049): 2, (0, 16960): 9,
+            }.items():
+                draws.clear()
                 assert np.array_equal(
                     _erasure_masks(5, start, stop, n, 0.3), oracle_erasure_masks(5, start, stop, n, 0.3)
                 ), (n, start, stop)
+                assert len(draws) == count, (n, start, stop)
     finally:
         sys.setswitchinterval(interval)
 
