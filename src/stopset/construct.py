@@ -5,10 +5,15 @@ matrices, the adversarial construction that forces stopping distance 3,
 the exact minimal-matrix search over dual-row subsets, and the known
 closed-form bounds on the rows needed for optimal iterative decoding.
 The search is a depth-first walk over row subsets in lexicographic
-order on Python-int bitsets over the forbidden subsets.  A node is cut
-when its covered sets joined with the suffix union (every set a row not
-yet passed over can still cover) miss a forbidden subset; the walk
-returns the first full-rank passing subset, as a plain scan would.
+order on Python-int bitsets over the forbidden subsets.  It starts at
+the forced-row bound: a forbidden subset that only one dual word covers
+puts that word in every passing subset, so no subset with fewer rows
+than there are such words can pass.  A row is skipped before the walk
+descends to it when the covered sets joined with the suffix union
+(every set a later row can still cover) miss a forbidden subset, and
+the last row is a scan rather than a descent.  Both only drop failing
+subsets, so the walk returns the first full-rank passing subset, as a
+plain scan would.
 Every dual-word listing is capped by gf2.ROW_SPACE_RANK_LIMIT on n-k,
 and the search also by SEARCH_MAX_DUAL_WORDS, checked from n-k before
 anything is listed.
@@ -153,19 +158,31 @@ def minimal_matrix_search(
     default).  A candidate passes iff every forbidden set meets one of
     its rows exactly once (is covered).
 
+    Each dual word's covered sets are one Python int with a bit per
+    forbidden set (hits), and alive[s] is the OR of those ints from index
+    s on.  Row counts start at max(n-k, forced).  A forbidden set that
+    only one dual word covers is covered by that word or not at all, so
+    every passing candidate holds the word.  One pass over hits
+    (twice |= seen & h; seen |= h) finds the sets that two or more words
+    cover; every other set has exactly one covering word, since
+    alive[0] == full, and forced counts the words that cover one.  No
+    candidate with fewer rows passes, so the skipped row counts would
+    have called rank on nothing.
+
     For each row count r the search is a depth-first walk that appends
     dual-word indices in increasing order, so it reaches the r-subsets
-    in the same lexicographic order as a plain scan.  Each dual word's
-    covered sets are one Python int with a bit per forbidden set, and
-    alive[s] is the OR of those ints from index s on.  The walk carries
-    the covered sets of the prefix down as one OR per step, and cuts a
-    subtree iff covered | alive[start] misses a forbidden set (start is
-    the next index the subtree may use): that set is covered by no row
-    of the prefix and by no row the subtree may add.  No leaf below such
-    a node can pass, so every passing leaf is still reached, in
-    lexicographic order; a leaf passes iff its covered sets are all of
-    them.  Each node costs a few int operations and no numpy call.  The
-    GF(2) rank runs only on passing leaves; it is needed because a
+    in the same lexicographic order as a plain scan.  The walk carries
+    the covered sets of the prefix down as one OR per step.  Before it
+    descends to index i it forms c = covered | hits[i] and skips i iff
+    c | alive[i+1] misses a forbidden set: that set is covered by no row
+    of the prefix plus i and by no row the subtree may add.  No leaf
+    below i can pass, so skipping i drops only failing leaves, and the
+    passing ones are still reached in lexicographic order.  With one row
+    left the walk does not descend: it scans i upward from the next
+    free index and tests in place whether hits[i] covers every set the
+    prefix misses, which visits the same leaves in the same order.  Each
+    node costs a few int operations and no numpy call.  The GF(2) rank
+    runs only on passing leaves, in that order; it is needed because a
     passing candidate may be rank-deficient (for "s=d" this happens:
     its rows can cover every small set without spanning the dual).
     The 2**(n-k) - 1 nonzero dual words are counted against
@@ -195,24 +212,39 @@ def minimal_matrix_search(
     for s in reversed(range(len(duals))):
         alive[s] = hits[s] | alive[s + 1]
     full = (1 << forbidden.size) - 1
+    if alive[0] != full:  # some forbidden set meets no dual word exactly once
+        return None
+    # twice: the sets that two or more words cover; each other set has one
+    # covering word, which every passing candidate holds
+    seen = twice = 0
+    for h in hits:
+        twice |= seen & h
+        seen |= h
+    forced = sum(1 for h in hits if h & ~twice)
 
-    def first_leaf(r: int, prefix: list[int], start: int, covered: int) -> Optional[BitMatrix]:
-        if covered | alive[start] != full:
-            return None
-        if len(prefix) == r:
-            if covered == full:
-                h = BitMatrix(tuple(duals[i] for i in prefix), n)
-                if rank(h) == need_rank:
+    def ranked(rows: tuple[int, ...]) -> Optional[BitMatrix]:
+        h = BitMatrix(rows, n)
+        return h if rank(h) == need_rank else None
+
+    def first_leaf(r: int, prefix: tuple[int, ...], start: int, covered: int) -> Optional[BitMatrix]:
+        # callers keep covered | alive[start] == full
+        if len(prefix) < r - 1:
+            for i in range(start, len(duals) - (r - len(prefix)) + 1):
+                c = covered | hits[i]
+                if c | alive[i + 1] == full and (h := first_leaf(r, prefix + (duals[i],), i + 1, c)) is not None:
                     return h
             return None
-        for i in range(start, len(duals) - (r - len(prefix)) + 1):
-            if (h := first_leaf(r, prefix + [i], i + 1, covered | hits[i])) is not None:
+        missing = full & ~covered
+        for i in range(start, len(duals)):
+            if hits[i] & missing == missing and (h := ranked(prefix + (duals[i],))) is not None:
                 return h
         return None
 
+    if need_rank == 0:  # the full code: no dual words, so nothing is forbidden
+        return ranked(())
     limit = len(duals) if max_rows is None else min(max_rows, len(duals))
-    for r in range(need_rank, limit + 1):
-        if (h := first_leaf(r, [], 0, 0)) is not None:
+    for r in range(max(need_rank, forced), limit + 1):
+        if (h := first_leaf(r, (), 0, 0)) is not None:
             return h
     return None
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -183,6 +182,10 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
                 np.less(gen.random_raw((_DRAW_ROWS, n)), threshold, out=erased[:, :n])
                 packed = np.packbits(erased.reshape(-1), bitorder="little")
                 out[row - base : row - base + _DRAW_ROWS] = packed.view(f"<u{width // 8}")
+
+    # imported here: concurrent.futures pulls in logging, which the commands
+    # that draw no erasures (enumerate, search, verify-table1, ...) never need
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         drawn = pool.map(draw, [blocks[w::workers] for w in range(1, workers)])

@@ -341,8 +341,29 @@ def test_unknown_subcommand():
     (["decode", "--matrix", "H_4", "--word", "0"], 2),
 ])
 def test_module_entry_point_exits_with_main_status(argv, exit_code):
+    proc = _python(["-m", "stopset.cli", *argv])
+    assert proc.returncode == exit_code, proc.stderr
+
+
+def test_commands_without_erasure_draws_do_not_import_the_thread_pool():
+    # only simulate draws on the pool; importing it loads concurrent.futures
+    # and logging, start-up time and memory that no other command uses
+    script = """
+import sys
+from stopset.cli import main
+for argv in (["enumerate", "--matrix", "H_8"],
+             ["construct", "search", "--code", "rm_8_4_4", "--predicate", "D=I"],
+             ["verify-table1"]):
+    assert main(argv) == 0, argv
+sys.exit(sorted({"concurrent.futures", "logging"} & set(sys.modules)) or None)
+"""
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+
+
+def _python(args):
+    """Run a fresh interpreter that imports stopset from this checkout."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "stopset.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == exit_code, proc.stderr
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)

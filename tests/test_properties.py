@@ -296,6 +296,16 @@ def test_minimal_search_matches_oracle_rm_8_4_4(predicate):
     _check_search_case(rm_8_4_4(), predicate, None)
 
 
+@pytest.mark.parametrize("predicate", ["s=d", "D=I"])
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_minimal_search_matches_oracle_shortened_hamming(n, predicate):
+    # n-k = 4 and d = 3: n of the 15 nonzero 4-bit columns, ascending, as
+    # in the search benchmark.  S=S* is left out for its oracle's cost.
+    cols = sorted(random.Random(n).sample(range(1, 16), n))
+    h = BitMatrix(tuple(sum(1 << j for j, c in enumerate(cols) if c >> i & 1) for i in range(4)), n)
+    _check_search_case(LinearCode.from_parity_check(h), predicate, None)
+
+
 @pytest.mark.parametrize("make", [full_code, zero_code, repetition])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("predicate", PREDICATES)
