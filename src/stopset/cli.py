@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import construct as construct_mod
 from .codes import LinearCode, UnknownCatalogName, catalog
@@ -50,9 +50,10 @@ def _load(spec: str, kind: type):
     return obj.parity_basis if kind is BitMatrix else LinearCode.from_parity_check(obj)
 
 
-def _emit(obj: dict, pretty_text: str, pretty: bool) -> None:
+def _emit(obj: dict, pretty_text: Callable[[], str], pretty: bool) -> None:
+    """Print the JSON object, or the text, rendered only for --pretty."""
     if pretty:
-        print(pretty_text)
+        print(pretty_text())
     else:
         print(json.dumps(obj, indent=2))
 
@@ -60,16 +61,10 @@ def _emit(obj: dict, pretty_text: str, pretty: bool) -> None:
 def _profile_block(p: StoppingProfile, star: bool) -> tuple[dict, list[str]]:
     """JSON fields and text lines of S, D and s, or of S*, D* and s*."""
     mark, key = ("*", "_star") if star else ("", "")
-    fields = {
-        f"S{key}": p.stopping.to_json_obj(),
-        f"D{key}": p.dead_end.to_json_obj(),
-        "stopping_distance": p.stopping_distance,
-    }
-    lines = [
-        f"S{mark}(x) = {p.stopping.poly_str()}",
-        f"D{mark}(x) = {p.dead_end.poly_str()}",
-        f"s{mark:<4}= {p.stopping_distance}",
-    ]
+    s, d = p.stopping.to_json_obj(), p.dead_end.to_json_obj()
+    fields = {f"S{key}": s, f"D{key}": d, "stopping_distance": p.stopping_distance}
+    # the text reuses each polynomial the JSON object already rendered
+    lines = [f"S{mark}(x) = {s['poly']}", f"D{mark}(x) = {d['poly']}", f"s{mark:<4}= {p.stopping_distance}"]
     return fields, lines
 
 
@@ -85,20 +80,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         lines += block
     if args.code or args.optimal:
         code = _load(args.code or args.matrix, LinearCode)
-        a = code.weight_enumerator
-        i = incorrigible_enumerator(code)
+        a = code.weight_enumerator.to_json_obj()
+        i = incorrigible_enumerator(code).to_json_obj()
         out["code"] = {
             "n": code.n,
             "k": code.k,
             "d": None if code.k == 0 else int(code.minimum_distance),
-            "A": a.to_json_obj(),
-            "I": i.to_json_obj(),
+            "A": a,
+            "I": i,
         }
-        lines += [f"A(x) = {a.poly_str()}", f"I(x) = {i.poly_str()}"]
+        lines += [f"A(x) = {a['poly']}", f"I(x) = {i['poly']}"]
         if args.optimal:
             out["optimal"], block = _profile_block(optimal_enumerators(code), star=True)
             lines += block
-    _emit(out, "\n".join(lines), args.pretty)
+    _emit(out, lambda: "\n".join(lines), args.pretty)
     return 0
 
 
@@ -115,7 +110,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         "residual": list(outcome.residual_set),
         "recovered": outcome.recovered,
     }
-    _emit(out, f"{outcome.kind}: {outcome.word} residual={out['residual']}", args.pretty)
+    _emit(out, lambda: f"{outcome.kind}: {outcome.word} residual={out['residual']}", args.pretty)
     return 0
 
 
@@ -135,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"iterative-only failures: {rep.it_only_failures}",
     ]
     lines += [f"note[{k}]: {v}" for k, v in rep.notes]
-    _emit(rep.to_json_obj(), "\n".join(lines), args.pretty)
+    _emit(rep.to_json_obj(), lambda: "\n".join(lines), args.pretty)
     return 0
 
 
@@ -165,11 +160,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # search
         h = construct_mod.minimal_matrix_search(code, args.predicate, args.max_rows)
         if h is None:
-            _emit({"found": False}, "no matrix found", args.pretty)
+            _emit({"found": False}, lambda: "no matrix found", args.pretty)
             return 0
         out = _matrix_payload(h)
         out["found"] = True
-    _emit(out, format_matrix(h), args.pretty)
+    _emit(out, lambda: out["matrix_text"], args.pretty)
     return 0
 
 
@@ -179,13 +174,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = [f"{name} = {obj[name]}" for name in
              ("sv_bound", "hs_bound", "ht_bound", "holtol_bound", "entropy_bound")]
     lines += [f"note[{k}]: {v}" for k, v in obj["notes"].items()]
-    _emit(obj, "\n".join(lines), args.pretty)
+    _emit(obj, lambda: "\n".join(lines), args.pretty)
     return 0
 
 
 def _cmd_verify_table1(args: argparse.Namespace) -> int:
     rep = table1_report()
-    _emit(rep.to_json_obj(), rep.render_pretty(), args.pretty)
+    _emit(rep.to_json_obj(), rep.render_pretty, args.pretty)
     return 0 if rep.ok else 1
 
 

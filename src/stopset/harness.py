@@ -8,18 +8,20 @@ block.  Every trial's erasure pattern is therefore a pure function of
 (seed, trial index), independent of how the work is partitioned.  The
 erasures are read by thresholding the generator's raw 64-bit words,
 which selects exactly the coordinates whose uniform double falls below
-epsilon.  A chunk's blocks are drawn on ``_WORKERS`` threads, one per CPU
-in the process's affinity mask: the calling thread and a thread pool
-started for the chunk.  The stream fixes every bit, so the worker count
+epsilon.  The draw is one thread's work; monte_carlo splits a run's
+blocks into ``_WORKERS`` contiguous shares, one per CPU in the process's
+affinity mask, and each share draws and counts its own trials: the
+calling thread takes the first and a thread pool started for the call
+runs the others.  The stream fixes every bit, so the worker count
 changes nothing but the wall time.
 
 The peeling decoder fails on an erasure set exactly when it is a
 dead-end set, the optimal decoder exactly when it is incorrigible.
 Under the enumeration guard the simulation therefore builds the
 packed D and I flags once (they also give the analytic rates) and reads
-each chunk's two failure counts from them, reading each mask once.  Above
-the guard it peels each chunk's distinct masks and eliminates the
-residuals instead.
+each piece's two failure counts from them, reading each mask once.  Above
+the guard it peels each piece's distinct masks and eliminates the
+residuals instead; a worker classifies the pieces it drew itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.random import Philox
 
 from .codes import Enumerator, LinearCode, _enumeration_refusal, catalog, rm_8_4_4
 from .decoder import is_parity_check_of
@@ -50,8 +51,8 @@ from .stopsets import (
 
 _TRIAL_BLOCK = 4096  # part of the stream definition; do not change casually
 _DRAW_ROWS = _TRIAL_BLOCK // 2  # rows of raw words drawn at a time; bounds each worker's buffer
-_TRIAL_CHUNK = 1 << 16  # trials classified at a time; results do not depend on it
-# threads drawing a chunk's blocks; results do not depend on it
+_TRIAL_CHUNK = 1 << 16  # trials in flight at a time over all workers; results do not depend on it
+# threads drawing and counting a run's trials; results do not depend on it
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -143,54 +144,38 @@ def _erasure_masks(seed: int, start: int, stop: int, n: int, epsilon: float) -> 
 
     Each row of erasures is padded with zeros to the narrowest of 8, 16,
     32 and 64 bits that holds n, so one flat little-endian packbits of the
-    rows reads back as one unsigned word per trial.
+    rows reads back as one unsigned word per trial; the masks come back
+    in that narrow dtype.
 
     Block b is a pure function of (seed, b): its words are the stream of
-    the generator keyed by the seed from counter (0, 0, b, 0).  Each
-    worker builds one generator and resets its counter there for each of
-    its blocks, so blocks can be drawn in any order on any thread.  A
-    block is drawn _DRAW_ROWS rows at a time; each draw is a whole number
-    of 4-word Philox outputs, so the next draw continues the counter
-    exactly, and the last block's draws stop at the one holding trial
-    stop - 1.  The masks go to one buffer covering the range's whole
-    blocks: every draw is thresholded and packed whole into its own rows,
-    and the call returns the rows of [start, stop).
-
-    With W = min(_WORKERS, blocks) workers, worker w takes blocks w,
-    w + W, w + 2W, ... of the range; the calling thread is worker 0 and a
-    thread pool runs the others.  Every bit is thus the same for any W.
-    Numpy releases the GIL while it draws, compares and packs, so the
-    workers run in parallel.  An error in any of them is raised here only
-    after every worker has stopped.
+    the generator keyed by the seed from counter (0, 0, b, 0).  The call
+    builds one generator and resets its counter there for each block of
+    the range, so any thread can draw any range.  A block is drawn
+    _DRAW_ROWS rows at a time; each draw is a whole number of 4-word
+    Philox outputs, so the next draw continues the counter exactly, and
+    the last block's draws stop at the one holding trial stop - 1.  The
+    masks go to one buffer covering the range's whole blocks: every draw
+    is thresholded and packed whole into its own rows, and the call
+    returns the rows of [start, stop).  A range that starts inside a
+    block draws that block from its first row, so callers that cut a
+    run at block boundaries draw every row once.
     """
     threshold = np.uint64(math.ceil(epsilon * 2.0**53) << 11)
     width = max(8, 1 << (n - 1).bit_length())
     blocks = range(start // _TRIAL_BLOCK, (stop - 1) // _TRIAL_BLOCK + 1)
     base = blocks.start * _TRIAL_BLOCK
-    out = np.empty(len(blocks) * _TRIAL_BLOCK, dtype=np.uint64)
-    workers = max(1, min(_WORKERS, len(blocks)))
-
-    def draw(share: range) -> None:
-        gen = Philox(key=seed)
-        state = gen.state
-        erased = np.zeros((_DRAW_ROWS, width), dtype=bool)
-        for b in share:
-            state["state"]["counter"][:] = (0, 0, b, 0)
-            gen.state = state
-            first = b * _TRIAL_BLOCK
-            for row in range(first, min(first + _TRIAL_BLOCK, stop), _DRAW_ROWS):
-                np.less(gen.random_raw((_DRAW_ROWS, n)), threshold, out=erased[:, :n])
-                packed = np.packbits(erased.reshape(-1), bitorder="little")
-                out[row - base : row - base + _DRAW_ROWS] = packed.view(f"<u{width // 8}")
-
-    # imported here: concurrent.futures pulls in logging, which the commands
-    # that draw no erasures (enumerate, search, verify-table1, ...) never need
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        drawn = pool.map(draw, [blocks[w::workers] for w in range(1, workers)])
-        draw(blocks[::workers])
-        list(drawn)  # raises a worker's error
+    out = np.empty(len(blocks) * _TRIAL_BLOCK, dtype=f"<u{width // 8}")
+    gen = np.random.Philox(key=seed)  # looked up here: numpy.random loads on first use
+    state = gen.state
+    erased = np.zeros((_DRAW_ROWS, width), dtype=bool)
+    for b in blocks:
+        state["state"]["counter"][:] = (0, 0, b, 0)
+        gen.state = state
+        first = b * _TRIAL_BLOCK
+        for row in range(first, min(first + _TRIAL_BLOCK, stop), _DRAW_ROWS):
+            np.less(gen.random_raw((_DRAW_ROWS, n)), threshold, out=erased[:, :n])
+            packed = np.packbits(erased.reshape(-1), bitorder="little")
+            out[row - base : row - base + _DRAW_ROWS] = packed.view(out.dtype)
     return out[start - base : stop - base]
 
 
@@ -201,15 +186,26 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
     only on the erasure set, never on the transmitted word.  Iterative
     failure means the erasure set is a dead-end set (its peeling fixpoint
     is nonempty); optimal failure means it is incorrigible.  Under the
-    enumeration guard both are counted per chunk of trials from the
+    enumeration guard both are counted per piece of trials from the
     packed D and I flags, which also give the analytic rates.  Above it
-    each chunk is classified on its distinct masks only: a batched peel,
+    each piece is classified on its distinct masks only: a batched peel,
     then a batched XOR-basis rank test of the distinct nonempty
     residuals of at most n - k elements.  A mask holds a codeword
     support iff its residual does, since every support is a stopping
     set; a larger residual always holds one.  Trials come from the
     pinned stream of _erasure_masks either way, so the counts do not
-    depend on the chunk size.
+    depend on the piece size or on the worker count.
+
+    The run's 4096-trial blocks are cut into W = min(_WORKERS, blocks)
+    contiguous shares of nearly equal size.  Each share draws and
+    classifies its trials in pieces of _TRIAL_CHUNK / W trials rounded
+    down to whole blocks (at least one): the pieces in flight hold about
+    _TRIAL_CHUNK trials whatever W, which bounds the memory, and no
+    block is drawn twice.  The calling thread runs the first share and
+    one thread pool started for the call runs the others.  Numpy
+    releases the GIL while it draws, compares and packs, so the shares
+    run in parallel.  An error in any share is raised here only after
+    every share has stopped.
 
     Every incorrigible set is a dead-end set: a nonzero codeword's
     support meets each row of any parity-check matrix of the code an
@@ -263,12 +259,28 @@ def monte_carlo(code: LinearCode, h: BitMatrix, cfg: ChannelConfig) -> Performan
                 incorrigible[untested] = is_incorrigible(code, distinct)[inverse]
             return int(counts[dead].sum()), int(counts[incorrigible].sum())
 
-    it_failures = opt_failures = 0
-    for start in range(0, cfg.trials, _TRIAL_CHUNK):
-        masks = _erasure_masks(cfg.seed, start, min(start + _TRIAL_CHUNK, cfg.trials), n, cfg.epsilon)
-        it_fail, opt_fail = classify(masks)
-        it_failures += it_fail
-        opt_failures += opt_fail
+    blocks = -(-cfg.trials // _TRIAL_BLOCK)
+    workers = min(_WORKERS, blocks)
+    edges = [min(blocks * w // workers * _TRIAL_BLOCK, cfg.trials) for w in range(workers + 1)]
+    step = max(1, _TRIAL_CHUNK // (workers * _TRIAL_BLOCK)) * _TRIAL_BLOCK
+
+    def count(first: int, last: int) -> tuple[int, int]:
+        it = opt = 0
+        for start in range(first, last, step):
+            it_fail, opt_fail = classify(_erasure_masks(cfg.seed, start, min(start + step, last), n, cfg.epsilon))
+            it += it_fail
+            opt += opt_fail
+        return it, opt
+
+    # imported here: concurrent.futures pulls in logging, which the commands
+    # that draw no erasures (enumerate, search, verify-table1, ...) never need
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        shares = pool.map(count, edges[1:-1], edges[2:])
+        totals = [count(edges[0], edges[1]), *shares]  # reading the shares raises a worker's error
+    it_failures = sum(it for it, _ in totals)
+    opt_failures = sum(opt for _, opt in totals)
 
     def halfwidth(fails: int) -> float:
         p = fails / cfg.trials

@@ -58,21 +58,24 @@ def _packed(n: int, fill: bool = False) -> np.ndarray:
 
 def _locate(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each subset mask m lives in packed flags: word m >> 6, bit m & 63."""
-    return masks >> np.uint64(6), np.uint64(1) << (masks & np.uint64(63))
+    return masks >> 6, np.uint64(1) << (masks & 63)  # word indices keep the masks' width
 
 
 def _count_flagged(masks: np.ndarray, n: int, *flag_arrays: np.ndarray) -> tuple[int, ...]:
-    """How many of the uint64 subset masks each packed flag array flags.
+    """How many of the unsigned subset masks each packed flag array flags.
 
-    Each mask is read once, whatever the number of flag arrays.  While
-    the 2**n subsets are fewer than the masks, the masks are tallied per
-    subset and each array's flags select from the tally, which costs
-    less than locating every mask; otherwise each mask is located in
-    the packed words.
+    The masks may be of any unsigned width that holds n bits, such as
+    the narrow words of the erasure draw; they are read as they are,
+    with no widened copy made here.  Each mask is read once, whatever
+    the number of flag arrays.  While the 2**n subsets are fewer than
+    the masks, the masks are tallied per subset and each array's flags
+    select from the tally, which costs less than locating every mask;
+    otherwise each mask is located in the packed words.
     """
     if 1 << n < masks.size:
-        # every mask is below 2**n < masks.size, so the int64 view is exact
-        tally = np.bincount(masks.view(np.int64), minlength=1 << n)
+        # bincount reads unsigned words of up to 32 bits directly; every
+        # mask is below 2**n < masks.size, so a uint64 mask's int64 view is exact
+        tally = np.bincount(masks.view(np.int64) if masks.dtype == np.uint64 else masks, minlength=1 << n)
         return tuple(int(tally @ _unpack(flags, n)) for flags in flag_arrays)
     words, bits = _locate(masks)
     return tuple(int(np.count_nonzero(flags[words] & bits)) for flags in flag_arrays)

@@ -346,8 +346,9 @@ def test_module_entry_point_exits_with_main_status(argv, exit_code):
 
 
 def test_commands_without_erasure_draws_do_not_import_the_thread_pool():
-    # only simulate draws on the pool; importing it loads concurrent.futures
-    # and logging, start-up time and memory that no other command uses
+    # only simulate draws erasures, on the pool; importing the pool loads
+    # concurrent.futures and logging, and the generator loads numpy.random
+    # (with secrets and hmac): start-up time and memory no other command uses
     script = """
 import sys
 from stopset.cli import main
@@ -355,7 +356,7 @@ for argv in (["enumerate", "--matrix", "H_8"],
              ["construct", "search", "--code", "rm_8_4_4", "--predicate", "D=I"],
              ["verify-table1"]):
     assert main(argv) == 0, argv
-sys.exit(sorted({"concurrent.futures", "logging"} & set(sys.modules)) or None)
+sys.exit(sorted({"concurrent.futures", "logging", "numpy.random"} & set(sys.modules)) or None)
 """
     proc = _python(["-c", script])
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,10 @@
+import concurrent.futures
 import json
 import math
 import random
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -122,7 +124,7 @@ def test_erasure_threshold_at_the_boundary(monkeypatch):
             def random_raw(self, size):
                 return np.resize(words, size)
 
-        monkeypatch.setattr(harness, "Philox", RawWords)
+        monkeypatch.setattr(np.random, "Philox", RawWords)
         below = (words >> np.uint64(11)).astype(float) * 2.0**-53 < epsilon
         assert _erasure_masks(0, 0, 1, 4, epsilon).tolist() == [int(below @ (1 << np.arange(4)))], epsilon
 
@@ -214,49 +216,92 @@ def test_monte_carlo_does_not_depend_on_worker_count(guard, monkeypatch):
     threads = threading.active_count()
     single = monte_carlo(RM, h, cfg)
     for workers in (1, 2, 3):
-        for chunk in (harness._TRIAL_CHUNK, 4097):
+        for chunk in (harness._TRIAL_CHUNK, 4097, 1000):
             with monkeypatch.context() as mp:
                 mp.setattr(harness, "_WORKERS", workers)
                 mp.setattr(harness, "_TRIAL_CHUNK", chunk)
                 assert monte_carlo(RM, h, cfg) == single, (workers, chunk)
-    assert threading.active_count() == threads  # no drawing thread outlives its call
+    assert threading.active_count() == threads  # no worker thread outlives its call
+
+
+@pytest.mark.parametrize("guard", [RM.n, RM.n - 1])  # flag lookup, then peel and rank
+@pytest.mark.parametrize("trials", [20_000, 70_000])
+def test_monte_carlo_draws_each_block_once(trials, guard, monkeypatch):
+    # each block's 2048-row draws are made once, up to the draw that holds
+    # the run's last trial, whatever the workers and the piece size
+    draws = []
+
+    class RecordsDraws(Philox):
+        def random_raw(self, size=None, output=True):
+            draws.append((int(self.state["state"]["counter"][2]), size))  # one atomic append
+            return super().random_raw(size, output)
+
+    blocks, rest = divmod(trials, 4096)
+    expected = Counter({(b, (2048, RM.n)): 2 for b in range(blocks)})
+    expected[blocks, (2048, RM.n)] = -(-rest // 2048)
+    monkeypatch.setenv("STOPSET_MAX_N", str(guard))
+    monkeypatch.setattr(np.random, "Philox", RecordsDraws)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for workers in (1, 2, 3):
+            for chunk in (harness._TRIAL_CHUNK, 4097, 1000):
+                draws.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(harness, "_WORKERS", workers)
+                    mp.setattr(harness, "_TRIAL_CHUNK", chunk)
+                    monte_carlo(RM, catalog("H_4"), ChannelConfig(epsilon=0.4, trials=trials, seed=77))
+                assert Counter(draws) == expected, (workers, chunk)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_erasure_stream_does_not_depend_on_worker_count(workers, monkeypatch):
+def test_monte_carlo_builds_one_pool_per_call(workers, monkeypatch):
+    # 200,000 trials are several pieces at the default size
+    pools = []
+
+    class CountsPools(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountsPools)
+    monkeypatch.setattr(harness, "_WORKERS", workers)
+    threads = threading.active_count()
+    monte_carlo(RM, catalog("H_4"), ChannelConfig(epsilon=0.4, trials=200_000, seed=77))
+    assert len(pools) == 1
+    assert threading.active_count() == threads  # no worker thread outlives its call
+
+
+def test_erasure_stream_draw_counts(monkeypatch):
     # each block is drawn 2048 rows at a time, up to the draw that holds the
-    # range's last trial: the raw-word draws do not depend on the workers
+    # range's last trial
     draws = []
 
     class CountsDraws(Philox):
         def random_raw(self, size=None, output=True):
-            draws.append(size)  # one atomic append per draw, from any thread
+            draws.append(size)
             return super().random_raw(size, output)
 
-    monkeypatch.setattr(harness, "_WORKERS", workers)
-    monkeypatch.setattr(harness, "Philox", CountsDraws)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-    try:
-        for n in (8, 17, 64):
-            # (4090, 4100) and (37, 9000) straddle block boundaries; 16,960
-            # trials are the last chunk of a 10^6-trial run
-            for (start, stop), count in {
-                (4090, 4100): 3, (37, 9000): 5, (0, 0): 0, (0, 100): 1, (0, 2049): 2, (0, 16960): 9,
-            }.items():
-                draws.clear()
-                assert np.array_equal(
-                    _erasure_masks(5, start, stop, n, 0.3), oracle_erasure_masks(5, start, stop, n, 0.3)
-                ), (n, start, stop)
-                assert len(draws) == count, (n, start, stop)
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(np.random, "Philox", CountsDraws)
+    for n in (8, 17, 64):
+        # (4090, 4100) and (37, 9000) straddle block boundaries; 16,960
+        # trials end in the first half of a fifth block
+        for (start, stop), count in {
+            (4090, 4100): 3, (37, 9000): 5, (0, 0): 0, (0, 100): 1, (0, 2049): 2, (0, 16960): 9,
+        }.items():
+            draws.clear()
+            assert np.array_equal(
+                _erasure_masks(5, start, stop, n, 0.3), oracle_erasure_masks(5, start, stop, n, 0.3)
+            ), (n, start, stop)
+            assert len(draws) == count, (n, start, stop)
 
 
 @pytest.mark.parametrize("block", [0, 5])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_error_reaches_the_caller(workers, block, monkeypatch):
-    # 40,000 trials are blocks 0..9 of one chunk; the calling thread draws
+    # 40,000 trials are blocks 0..9; the calling thread draws
     # block 0, and block 5 too with one worker, a started thread otherwise
     class FailsOnBlock(Philox):
         def random_raw(self, size=None, output=True):
@@ -265,7 +310,7 @@ def test_worker_error_reaches_the_caller(workers, block, monkeypatch):
             return super().random_raw(size, output)
 
     monkeypatch.setattr(harness, "_WORKERS", workers)
-    monkeypatch.setattr(harness, "Philox", FailsOnBlock)
+    monkeypatch.setattr(np.random, "Philox", FailsOnBlock)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"block {block}"):
         monte_carlo(RM, catalog("H_4"), ChannelConfig(epsilon=0.4, trials=40_000, seed=77))

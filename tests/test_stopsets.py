@@ -141,12 +141,13 @@ def test_count_flagged_matches_scalar_predicates(size):
     h = random_dual_spanning_matrix(rng, code, 2)
     dead_end = _stopping_flags(h)
     _profile(dead_end, code.n)  # closes the stopping flags into the dead-end flags
-    masks = np.array([rng.randrange(0, 1 << code.n) for _ in range(size)], dtype=np.uint64)
+    masks = [rng.randrange(0, 1 << code.n) for _ in range(size)]
     expected = (
-        sum(peel_closure(h, m) != 0 for m in masks.tolist()),
-        sum(is_incorrigible(code, m) for m in masks.tolist()),
+        sum(peel_closure(h, m) != 0 for m in masks),
+        sum(is_incorrigible(code, m) for m in masks),
     )
-    assert _count_flagged(masks, code.n, dead_end, _incorrigible_flags(code)) == expected
+    for dtype in (np.uint16, np.uint32, np.uint64):  # the narrowest that holds 10 bits, and wider
+        assert _count_flagged(np.array(masks, dtype=dtype), code.n, dead_end, _incorrigible_flags(code)) == expected
 
 
 def test_is_incorrigible_examples():
