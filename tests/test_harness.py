@@ -274,28 +274,35 @@ def test_monte_carlo_builds_one_pool_per_call(workers, monkeypatch):
     assert threading.active_count() == threads  # no worker thread outlives its call
 
 
-def test_erasure_stream_draw_counts(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_erasure_stream_does_not_depend_on_worker_count(workers, monkeypatch):
     # each block is drawn 2048 rows at a time, up to the draw that holds the
-    # range's last trial
+    # range's last trial: the raw-word draws do not depend on the workers
     draws = []
 
     class CountsDraws(Philox):
         def random_raw(self, size=None, output=True):
-            draws.append(size)
+            draws.append(size)  # one atomic append per draw, from any thread
             return super().random_raw(size, output)
 
+    monkeypatch.setattr(harness, "_WORKERS", workers)
     monkeypatch.setattr(np.random, "Philox", CountsDraws)
-    for n in (8, 17, 64):
-        # (4090, 4100) and (37, 9000) straddle block boundaries; 16,960
-        # trials end in the first half of a fifth block
-        for (start, stop), count in {
-            (4090, 4100): 3, (37, 9000): 5, (0, 0): 0, (0, 100): 1, (0, 2049): 2, (0, 16960): 9,
-        }.items():
-            draws.clear()
-            assert np.array_equal(
-                _erasure_masks(5, start, stop, n, 0.3), oracle_erasure_masks(5, start, stop, n, 0.3)
-            ), (n, start, stop)
-            assert len(draws) == count, (n, start, stop)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for n in (8, 17, 64):
+            # (4090, 4100) and (37, 9000) straddle block boundaries; 16,960
+            # trials end in the first half of a fifth block
+            for (start, stop), count in {
+                (4090, 4100): 3, (37, 9000): 5, (0, 0): 0, (0, 100): 1, (0, 2049): 2, (0, 16960): 9,
+            }.items():
+                draws.clear()
+                assert np.array_equal(
+                    _erasure_masks(5, start, stop, n, 0.3), oracle_erasure_masks(5, start, stop, n, 0.3)
+                ), (n, start, stop)
+                assert len(draws) == count, (n, start, stop)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("block", [0, 5])
