@@ -1,12 +1,19 @@
+import contextlib
+import errno
+import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import stopset.harness as harness_mod
 from stopset.cli import main
 from stopset.codes import catalog, rm_8_4_4
 from stopset.gf2 import BitMatrix, format_matrix
@@ -42,8 +49,6 @@ def test_verify_table1_pretty(capsys):
 
 
 def test_verify_table1_mismatch_exit_code(capsys, monkeypatch):
-    import stopset.harness as harness_mod
-
     monkeypatch.setattr(harness_mod, "_TABLE1_I", (0,) * 9)
     code, _ = run(capsys, ["verify-table1"])
     assert code == 1
@@ -368,3 +373,75 @@ def _python(args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# one argv per command shape; "verify-table1-mismatch" runs against a
+# wrong I(x) row and "broken-pipe" against a stdout that refuses writes
+GOLDEN_CASES = {
+    "enumerate-matrix": ["enumerate", "--matrix", "H_4"],
+    "enumerate-optimal": ["enumerate", "--matrix", "H_4", "--code", "rm_8_4_4", "--optimal"],
+    "decode-stalled": ["decode", "--matrix", "H_14", "--word", "??0000??"],
+    "decode-optimal": ["decode", "--matrix", "rm_8_4_4", "--word", "??0000??", "--optimal"],
+    "simulate": ["simulate", "--code", "rm_8_4_4", "--matrix", "H_4",
+                 "--epsilon", "0.4", "--trials", "2000", "--seed", "7"],
+    "construct-complete": ["construct", "complete", "--code", "rm_8_4_4"],
+    "construct-low-weight": ["construct", "low-weight", "--code", "rm_8_4_4"],
+    "construct-bad": ["construct", "bad", "--code", "rm_8_4_4"],
+    "construct-search-found": ["construct", "search", "--code", "rm_8_4_4", "--predicate", "D=I"],
+    "construct-search-not-found": ["construct", "search", "--code", "repetition(3)", "--max-rows", "1"],
+    "bounds": ["bounds", "--n", "8", "--k", "4", "--d", "4", "--m", "4"],
+    "verify-table1": ["verify-table1"],
+    "verify-table1-mismatch": ["verify-table1"],
+    "input-error": ["decode", "--matrix", "H_8", "--word", "11000000"],
+    "broken-pipe": ["enumerate", "--matrix", "H_4"],
+}
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def _golden_run(name, mode):
+    """stdout, stderr and exit status of one golden case, in "json" or "pretty" mode."""
+    argv = GOLDEN_CASES[name] + (["--pretty"] if mode == "pretty" else [])
+    out = _ClosedPipe() if name == "broken-pipe" else io.StringIO()
+    err = io.StringIO()
+    table1_i = (0,) * 9 if name == "verify-table1-mismatch" else harness_mod._TABLE1_I
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(harness_mod, "_TABLE1_I", table1_i):
+        status = main(argv)
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "status": status}
+
+
+@pytest.mark.parametrize("mode", ["json", "pretty"])
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_cli_output_matches_golden(name, mode):
+    # every byte each command writes, and its exit status, as pinned in
+    # cli_golden.json (rewrite it with `python tests/test_cli.py`)
+    assert _golden_run(name, mode) == json.loads(GOLDEN.read_text())[name][mode]
+
+
+def _readme_commands():
+    """The `stopset ...` lines of the sh block under "## Command line" in README.md."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.DOTALL).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("stopset ")]
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    (tmp_path / "mycode.txt").write_text(format_matrix(rm_8_4_4().parity_basis))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "stopset"
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+if __name__ == "__main__":
+    golden = {name: {mode: _golden_run(name, mode) for mode in ("json", "pretty")} for name in GOLDEN_CASES}
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
