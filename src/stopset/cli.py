@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: enumerate, decode, simulate, construct, bounds,
-verify-table1.  Output is JSON on stdout (``--pretty`` switches to
-human-readable text).  Exit codes: 0 success, 1 verification mismatch,
-2 usage or input error, including a MemoryError from an allocation the
-input asked for.
+verify-table1.  Each subcommand returns its JSON object, its
+``--pretty`` text and its exit status, and prints nothing; ``main``
+alone writes the JSON (or, with ``--pretty``, the text) to stdout.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input
+error, including a MemoryError from an allocation the input asked for
+and a failed write to stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import construct as construct_mod
 from .codes import LinearCode, UnknownCatalogName, catalog
@@ -50,14 +52,6 @@ def _load(spec: str, kind: type):
     return obj.parity_basis if kind is BitMatrix else LinearCode.from_parity_check(obj)
 
 
-def _emit(obj: dict, pretty_text: Callable[[], str], pretty: bool) -> None:
-    """Print the JSON object, or the text, rendered only for --pretty."""
-    if pretty:
-        print(pretty_text())
-    else:
-        print(json.dumps(obj, indent=2))
-
-
 def _profile_block(p: StoppingProfile, star: bool) -> tuple[dict, list[str]]:
     """JSON fields and text lines of S, D and s, or of S*, D* and s*."""
     mark, key = ("*", "_star") if star else ("", "")
@@ -68,7 +62,7 @@ def _profile_block(p: StoppingProfile, star: bool) -> tuple[dict, list[str]]:
     return fields, lines
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
     if not args.matrix and not args.code:
         raise ValueError("need --matrix and/or --code")
     out: dict = {}
@@ -93,11 +87,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.optimal:
             out["optimal"], block = _profile_block(optimal_enumerators(code), star=True)
             lines += block
-    _emit(out, lambda: "\n".join(lines), args.pretty)
-    return 0
+    return out, "\n".join(lines), 0
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace) -> tuple[dict, str, int]:
     source = _load(args.matrix, LinearCode if args.optimal else BitMatrix)
     word = ReceivedWord.from_string(args.word)
     if args.optimal:
@@ -110,11 +103,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         "residual": list(outcome.residual_set),
         "recovered": outcome.recovered,
     }
-    _emit(out, lambda: f"{outcome.kind}: {outcome.word} residual={out['residual']}", args.pretty)
-    return 0
+    return out, f"{outcome.kind}: {outcome.word} residual={out['residual']}", 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, str, int]:
     code = _load(args.code, LinearCode)
     h = _load(args.matrix, BitMatrix)
     cfg = ChannelConfig(epsilon=args.epsilon, trials=args.trials, seed=args.seed)
@@ -130,8 +122,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"iterative-only failures: {rep.it_only_failures}",
     ]
     lines += [f"note[{k}]: {v}" for k, v in rep.notes]
-    _emit(rep.to_json_obj(), lambda: "\n".join(lines), args.pretty)
-    return 0
+    return rep.to_json_obj(), "\n".join(lines), 0
 
 
 def _matrix_payload(h: BitMatrix) -> dict:
@@ -143,7 +134,7 @@ def _matrix_payload(h: BitMatrix) -> dict:
     }
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> tuple[dict, str, int]:
     code = _load(args.code, LinearCode)
     if args.mode == "complete":
         h = construct_mod.complete_matrix(code)
@@ -160,28 +151,24 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # search
         h = construct_mod.minimal_matrix_search(code, args.predicate, args.max_rows)
         if h is None:
-            _emit({"found": False}, lambda: "no matrix found", args.pretty)
-            return 0
+            return {"found": False}, "no matrix found", 0
         out = _matrix_payload(h)
         out["found"] = True
-    _emit(out, lambda: out["matrix_text"], args.pretty)
-    return 0
+    return out, out["matrix_text"], 0
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, str, int]:
     rep = construct_mod.redundancy_bounds(args.n, args.k, args.d, args.m)
     obj = rep.to_json_obj()
     lines = [f"{name} = {obj[name]}" for name in
              ("sv_bound", "hs_bound", "ht_bound", "holtol_bound", "entropy_bound")]
     lines += [f"note[{k}]: {v}" for k, v in obj["notes"].items()]
-    _emit(obj, lambda: "\n".join(lines), args.pretty)
-    return 0
+    return obj, "\n".join(lines), 0
 
 
-def _cmd_verify_table1(args: argparse.Namespace) -> int:
+def _cmd_verify_table1(args: argparse.Namespace) -> tuple[dict, str, int]:
     rep = table1_report()
-    _emit(rep.to_json_obj(), rep.render_pretty, args.pretty)
-    return 0 if rep.ok else 1
+    return rep.to_json_obj(), rep.render_pretty(), 0 if rep.ok else 1
 
 
 @functools.cache
@@ -242,7 +229,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        obj, text, status = args.func(args)
+        # a failed write (a closed pipe) is an OSError: it exits 2 below
+        print(text if args.pretty else json.dumps(obj, indent=2))
+        return status
     except (ValueError, ChannelModelViolation, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
