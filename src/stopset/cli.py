@@ -75,7 +75,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
     if args.code or args.optimal:
         code = _load(args.code or args.matrix, LinearCode)
         a = code.weight_enumerator.to_json_obj()
-        i = incorrigible_enumerator(code).to_json_obj()
+        star = optimal_enumerators(code) if args.optimal else None
+        # D*(x) = I(x): the complete matrix's dead-end sets are the incorrigible sets
+        i = (star.dead_end if star else incorrigible_enumerator(code)).to_json_obj()
         out["code"] = {
             "n": code.n,
             "k": code.k,
@@ -84,8 +86,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
             "I": i,
         }
         lines += [f"A(x) = {a['poly']}", f"I(x) = {i['poly']}"]
-        if args.optimal:
-            out["optimal"], block = _profile_block(optimal_enumerators(code), star=True)
+        if star:
+            out["optimal"], block = _profile_block(star, star=True)
             lines += block
     return out, "\n".join(lines), 0
 

@@ -23,7 +23,16 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _gray_iter, null_space_basis, parse_matrix, rank, row_space_iter, rref
+from .gf2 import (
+    BitMatrix,
+    _check_column_count,
+    _gray_iter,
+    _null_space_of_reduced,
+    parse_matrix,
+    rank,
+    row_space_iter,
+    rref,
+)
 
 _DEFAULT_ENUMERATION_LIMIT = 28  # 2**n subsets or 2**k codewords
 _SPAN_BLOCK_BITS = 16  # span words per block: 2**16, 0.5 MB
@@ -133,8 +142,8 @@ class LinearCode:
 
         Dependent or duplicate rows are legal and do not change the code.
         """
-        reduced, _ = rref(h)
-        return cls(reduced, null_space_basis(h))
+        reduced, pivots = rref(h)
+        return cls(reduced, _null_space_of_reduced(reduced, pivots))
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
@@ -200,6 +209,7 @@ def repetition(n: int) -> LinearCode:
     """The [n,1,n] repetition code {all-zero, all-one}."""
     if n < 1:
         raise ValueError("repetition length must be >= 1")
+    _check_column_count(n)  # before any row is built
     rows = tuple(1 | (1 << i) for i in range(1, n))
     return LinearCode.from_parity_check(BitMatrix(rows, n))
 
@@ -215,6 +225,7 @@ def zero_code(n: int) -> LinearCode:
     """The [n,0,inf] code containing only the zero word."""
     if n < 1:
         raise ValueError("zero code length must be >= 1")
+    _check_column_count(n)  # before any row is built
     return LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(n)), n))
 
 

@@ -199,7 +199,7 @@ def minimal_matrix_search(
     n = code.n
     need_rank = code.n - code.k
     if predicate == "S=S*":
-        forbidden = np.flatnonzero(~_unpack(_optimal_flags(code), n))
+        forbidden = np.flatnonzero(~_unpack(_optimal_flags(code)[0], n))
     else:
         forbidden = np.flatnonzero(~_unpack(_incorrigible_flags(code), n))[1:]  # [0] is the empty set
         if predicate == "s=d":

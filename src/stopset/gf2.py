@@ -66,6 +66,12 @@ def vector_to_string(v: int, n: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
 
 
+def _check_column_count(n: int) -> None:
+    """Refuse a column count outside 0..MAX_BITS."""
+    if not 0 <= n <= MAX_BITS:
+        raise ValueError(f"column count {n} outside 0..{MAX_BITS}")
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """Dense GF(2) matrix with bit-packed rows, all of length ``n``."""
@@ -74,8 +80,7 @@ class BitMatrix:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_BITS:
-            raise ValueError(f"column count {self.n} outside 0..{MAX_BITS}")
+        _check_column_count(self.n)
         limit = 1 << self.n
         for v in self.rows:
             if not 0 <= v < limit:
@@ -171,18 +176,24 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
 
     Returns n - rank(M) vectors; canonical for the row space of M.
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.n) if c not in pivot_set]
+    return _null_space_of_reduced(*rref(m))
+
+
+def _null_space_of_reduced(reduced: BitMatrix, pivots: tuple[int, ...]) -> BitMatrix:
+    """null_space_basis from what rref returned: the reduced matrix and its pivots.
+
+    Each free column f gives the null vector e_f plus e_p for every
+    pivot p whose reduced row holds f.
+    """
+    free_cols = sorted(set(range(reduced.n)) - set(pivots))
     basis = []
     for f in free_cols:
         v = 1 << f
-        fbit = 1 << f
-        for i, p in enumerate(pivots):
-            if reduced.rows[i] & fbit:
+        for row, p in zip(reduced.rows, pivots):
+            if row >> f & 1:
                 v |= 1 << p
         basis.append(v)
-    return rref(BitMatrix(tuple(basis), m.n))[0]
+    return rref(BitMatrix(tuple(basis), reduced.n))[0]
 
 
 def _pack_columns(m: BitMatrix, cols: Sequence[int]) -> tuple[int, ...]:

@@ -11,10 +11,14 @@ Flags are built a word at a time, closed upward over the subset lattice
 (an OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
 stopping set inside it; I(x) is the closure of the nonzero codeword
-supports.  Every flag array is allocated by _packed, behind the one
-enumeration guard of codes._enumeration_refusal (n <= 28 by default,
-overridden by the STOPSET_MAX_N env var); the flags then take 2**(n-3)
-bytes.
+supports.  For the complete matrix D*(x) = I(x): its nonempty stopping
+sets are the nonempty unions of supports, and a set holds a nonempty
+union of supports iff it holds a nonzero support.  So the S* kernel
+yields the I flags too: its last leaf leaves the supports closed over
+every coordinate but n-1, and one more pass closes them.  Every flag
+array is allocated by _packed, behind the one enumeration guard of
+codes._enumeration_refusal (n <= 28 by default, overridden by the
+STOPSET_MAX_N env var); the flags then take 2**(n-3) bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ _OF_SIZE = _pack(np.bitwise_count(_LOW) == np.arange(7)[:, None])  # [k]: the lo
 _MEETS = np.bitwise_count(_LOW[:, None] & _LOW)  # [t, b]: |t & b|
 # [t, c]: the low parts b with |t & b| + c != 1, for c = 0, 1 and c >= 2
 _MISSES = np.stack([_pack(_MEETS != 1), _pack(_MEETS != 0), np.full(64, ~np.uint64(0))], axis=1)
+_SLAB_WORDS = 1 << 14  # per slab of the stopping-flag pass; a power of two, so slabs tile the words
 
 
 def _packed(n: int, fill: bool = False) -> np.ndarray:
@@ -224,14 +229,21 @@ def _stopping_flags(h: BitMatrix) -> np.ndarray:
 
     A row meets subset 64q+b in |q & row_high| + |b & row_low| places,
     so per word it clears one of three fixed 64-bit masks of low parts,
-    picked by c = min(|q & row_high|, 2).
+    picked by c = min(|q & row_high|, 2): a clipped take does the min.
+    The words are swept in slabs of _SLAB_WORDS, every row over one slab
+    before the next, so the per-row temporaries stay slab-sized and in
+    cache; one count buffer serves the whole call.
     """
     flags = _packed(h.n, fill=True)
     high = _mask_dtype(max(h.n - 6, 0))
-    words = np.arange(flags.size, dtype=high)
-    for row in h.rows:
-        c = np.bitwise_count(words & high(row >> 6))
-        flags &= _MISSES[row & 63][np.minimum(c, 2, out=c)]
+    rows = [(high(row >> 6), _MISSES[row & 63]) for row in h.rows]
+    c = np.empty(min(flags.size, _SLAB_WORDS), np.uint8)
+    for start in range(0, flags.size, c.size):
+        slab = flags[start : start + c.size]
+        words = np.arange(start, start + c.size, dtype=high)
+        for row_high, misses in rows:
+            np.bitwise_count(words & row_high, out=c)
+            slab &= misses.take(c, mode="clip")
     return flags
 
 
@@ -297,18 +309,23 @@ def profile(h: BitMatrix) -> StoppingProfile:
     return _profile(_stopping_flags(h), h.n)
 
 
-def _optimal_flags(code: LinearCode) -> np.ndarray:
-    """Packed flags of the subsets that are stopping for the complete matrix.
+def _optimal_flags(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """Packed flags of the subsets that are stopping for the complete
+    matrix, and the codeword supports closed over every coordinate but
+    the last, n-1.
 
-    That holds iff m is the union of the codeword supports it contains:
-    every coordinate j of m lies in a support s inside m.  Such an s
-    agrees with m on j, so m holds one iff the closure of all supports
-    over every coordinate but j flags m.  Neither the complete matrix
-    nor a mask word per subset is ever formed.
+    A set is stopping for the complete matrix iff it is the union of the
+    codeword supports it contains: every coordinate j of m lies in a
+    support s inside m.  Such an s agrees with m on j, so m holds one iff
+    the closure of all supports over every coordinate but j flags m.
+    _keep_covered leaves the supports at its last leaf's closure, which
+    one more pass over n-1 turns into the incorrigible flags.  Neither
+    the complete matrix nor a mask word per subset is ever formed.
     """
     flags = _packed(code.n, fill=True)
-    _keep_covered(flags, _support_flags(code), range(code.n))
-    return flags
+    supports = _support_flags(code)
+    _keep_covered(flags, supports, range(code.n))
+    return flags, supports
 
 
 def _keep_covered(flags: np.ndarray, words: np.ndarray, coords: range) -> None:
@@ -318,7 +335,8 @@ def _keep_covered(flags: np.ndarray, words: np.ndarray, coords: range) -> None:
     words arrive closed over every coordinate outside coords.  Each half
     of coords is closed over the other half and recursed into, so the n
     leave-one-out closures take about n*log2(n) passes, with one copy of
-    words live per level.
+    words live per level.  The second half works on words in place, so
+    words leave closed over every coordinate but coords[-1].
     """
     if len(coords) == 1:
         j = coords[0]
@@ -335,10 +353,19 @@ def _keep_covered(flags: np.ndarray, words: np.ndarray, coords: range) -> None:
 def optimal_enumerators(code: LinearCode) -> StoppingProfile:
     """S*(x), D*(x), s*: enumerators of the complete parity-check matrix.
 
-    S*(x) counts the flags of _optimal_flags; D*(x) is the upward
-    closure of the nonempty S* sets, as for D(x).
+    S*(x) counts the flags of _optimal_flags.  D*(x) = I(x): the
+    dead-end sets are the sets holding a nonempty S* set, a nonempty
+    union of supports, and a set holds one iff it holds a nonzero
+    support.  So D*(x) is the histogram of the incorrigible flags, which
+    the supports _optimal_flags returns become after one closure over
+    the last coordinate; no closure of the S* flags is run.
     """
-    return _profile(_optimal_flags(code), code.n)
+    n = code.n
+    flags, supports = _optimal_flags(code)
+    s_poly = _histogram(flags, n)
+    del flags  # before the last closure and its histogram
+    d_poly = _histogram(_upward_closure(supports, [n - 1]), n)
+    return StoppingProfile(s_poly, d_poly, _first_nonempty(s_poly))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,35 @@ def test_enumerate_matrix_file(capsys, h8_file):
     assert obj["matrix"]["stopping_distance"] == 4
 
 
+def _code_files(tmp_path):
+    rng = random.Random(7)
+    paths = []
+    for i, (n, r) in enumerate([(9, 4), (11, 0), (7, 7), (12, 5)]):
+        path = tmp_path / f"code{i}.txt"
+        path.write_text(format_matrix(random_parity_matrix(rng, n, r)))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("catalog_spec", ["rm_8_4_4", "hamming_7_4", "repetition(5)", "zero(3)", "full(4)", None])
+def test_enumerate_optimal_prints_the_same_incorrigible_enumerator(capsys, tmp_path, monkeypatch, catalog_spec):
+    # --optimal reads I(x) as D*(x) and never calls incorrigible_enumerator
+    for spec in [catalog_spec] if catalog_spec else _code_files(tmp_path):
+        plain = json.loads(run(capsys, ["enumerate", "--code", spec])[1])
+        with monkeypatch.context() as m:
+            m.setattr("stopset.cli.incorrigible_enumerator", None)
+            optimal = json.loads(run(capsys, ["enumerate", "--code", spec, "--optimal"])[1])
+        assert optimal["code"]["I"] == plain["code"]["I"] == optimal["optimal"]["D_star"], spec
+
+
+@pytest.mark.parametrize("spec", ["H_4", "H_14", None])
+def test_enumerate_matrix_optimal_prints_the_code_block_of_that_matrix(capsys, tmp_path, spec):
+    for matrix in [spec] if spec else _code_files(tmp_path):
+        with_matrix = json.loads(run(capsys, ["enumerate", "--matrix", matrix, "--optimal"])[1])
+        as_code = json.loads(run(capsys, ["enumerate", "--code", matrix])[1])
+        assert with_matrix["code"] == as_code["code"], matrix
+
+
 def test_enumerate_optimal(capsys, h8_file):
     code, out = run(capsys, ["enumerate", "--code", h8_file, "--optimal"])
     assert code == 0
@@ -333,6 +362,28 @@ def test_catalog_range_error_keeps_its_message(capsys, flag, spec, message):
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "neither a readable file" not in err
+
+
+_UNDER_ADDRESS_LIMIT = """
+import resource, sys, time
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from stopset.cli import main
+start = time.perf_counter()
+status = main(sys.argv[2:])
+Path(sys.argv[1]).write_text(str(time.perf_counter() - start))
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("spec", ["repetition(99999999999)", "full(99999999999)", "zero(99999999999)"])
+def test_oversized_catalog_code_is_refused_before_its_rows_are_built(tmp_path, spec):
+    # one row per coordinate would ask for far more than the 1 GB address space
+    elapsed = tmp_path / "elapsed"
+    proc = _python(["-c", _UNDER_ADDRESS_LIMIT, str(elapsed), "enumerate", "--code", spec])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == ["error: column count 99999999999 outside 0..64"]
+    assert float(elapsed.read_text()) < 1.0
 
 
 def test_unknown_subcommand():

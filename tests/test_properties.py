@@ -24,11 +24,14 @@ from stopset.gf2 import BitMatrix, rank, row_space_iter, select_columns
 from stopset.stopsets import (
     _histogram,
     _incorrigible_flags,
+    _keep_covered,
     _optimal_flags,
     _packed,
     _profile,
     _stopping_flags,
+    _support_flags,
     _unpack,
+    _upward_closure,
     dead_end_enumerator,
     incorrigible_enumerator,
     is_incorrigible,
@@ -74,6 +77,17 @@ def test_stopping_and_dead_end_match_oracles(drawn, extra_rows):
 
 
 @PROPERTY
+@given(codes(max_n=12), st.integers(0, 3), st.sampled_from([1, 2, 8]))
+def test_stopping_flags_do_not_depend_on_the_slab_size(drawn, extra_rows, slab_words):
+    rng, code = drawn
+    h = random_dual_spanning_matrix(rng, code, extra_rows)
+    whole = _stopping_flags(h)
+    with mock.patch("stopset.stopsets._SLAB_WORDS", slab_words):
+        assert np.array_equal(_stopping_flags(h), whole)
+    assert _histogram(whole, h.n) == oracle_stopping_enumerator(h)
+
+
+@PROPERTY
 @given(codes())
 def test_incorrigible_matches_oracle(drawn):
     _, code = drawn
@@ -89,6 +103,34 @@ def test_optimal_matches_complete_matrix(drawn):
     assert star.stopping == stopping_set_enumerator(h_star)
     assert star.dead_end == dead_end_enumerator(h_star)
     assert star.dead_end == incorrigible_enumerator(code)  # D*(x) = I(x)
+
+
+def _check_last_leaf_closes_to_incorrigible(code):
+    # _keep_covered leaves the supports closed over all but coordinate n-1,
+    # so one more closure gives the I flags, and D*(x) = I(x) rests on that
+    n = code.n
+    supports = _support_flags(code)
+    _keep_covered(_packed(n, fill=True), supports, range(n))
+    _upward_closure(supports, [n - 1])
+    assert np.array_equal(_unpack(supports, n), _unpack(_incorrigible_flags(code), n))
+    d_star = optimal_enumerators(code).dead_end
+    assert d_star == incorrigible_enumerator(code) == dead_end_enumerator(complete_matrix(code))
+
+
+@PROPERTY
+@given(codes(max_n=14))
+def test_last_leaf_closure_gives_incorrigible_flags(drawn):
+    _check_last_leaf_closes_to_incorrigible(drawn[1])
+
+
+@pytest.mark.parametrize("code", [
+    *(f(n) for f in (zero_code, full_code, repetition) for n in (1, 2, 5, 6, 7, 14)),
+    hamming_7_4(),
+    rm_8_4_4(),
+], ids=lambda code: f"n{code.n}-k{code.k}")
+def test_last_leaf_closure_gives_incorrigible_flags_at_the_edges(code):
+    # k = 0, k = n, one partial word (n < 6), exactly one word (n = 6) and n = 14
+    _check_last_leaf_closes_to_incorrigible(code)
 
 
 def rank_is_parity_check_of(h, code):
@@ -132,7 +174,7 @@ def test_flags_match_oracles_mask_by_mask(drawn):
     h_star = complete_matrix(code)
     everything = range(1 << code.n)
     assert _unpack(_incorrigible_flags(code), code.n).tolist() == [bool(contained_supports(code, m)) for m in everything]
-    assert _unpack(_optimal_flags(code), code.n).tolist() == [oracle_is_stopping(h_star, m) for m in everything]
+    assert _unpack(_optimal_flags(code)[0], code.n).tolist() == [oracle_is_stopping(h_star, m) for m in everything]
 
 
 @PROPERTY
@@ -161,7 +203,7 @@ def _check_against_oracles(code, h):
     assert h_star.rows == tuple(sorted(row_space_iter(code.parity_basis)))
     star = optimal_enumerators(code)
     assert (star.stopping, star.dead_end) == (oracle_stopping_enumerator(h_star), oracle_dead_end_enumerator(h_star))
-    for flags in (_stopping_flags(h), _incorrigible_flags(code), _optimal_flags(code)):
+    for flags in (_stopping_flags(h), _incorrigible_flags(code), *_optimal_flags(code)):
         assert flags.size == 1 << max(n - 6, 0)
         if n < 6:
             assert int(flags[0]) >> (1 << n) == 0
