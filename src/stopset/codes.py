@@ -195,14 +195,12 @@ def direct_sum(parts: Sequence[LinearCode]) -> LinearCode:
     if not parts:
         raise ValueError("direct_sum needs at least one part")
     n = sum(p.n for p in parts)
-    parity_rows: list[int] = []
-    gen_rows: list[int] = []
+    rows: list[int] = []
     offset = 0
     for p in parts:
-        parity_rows.extend(row << offset for row in p.parity_basis.rows)
-        gen_rows.extend(row << offset for row in p.generator_basis.rows)
+        rows.extend(row << offset for row in p.parity_basis.rows)
         offset += p.n
-    return LinearCode(BitMatrix(tuple(parity_rows), n), rref(BitMatrix(tuple(gen_rows), n))[0])
+    return LinearCode.from_parity_check(BitMatrix(tuple(rows), n))
 
 
 def repetition(n: int) -> LinearCode:

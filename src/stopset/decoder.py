@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 from .codes import LinearCode
 from .gf2 import BitMatrix, as_mask, indices_from_mask, rank, rref, select_columns, solve
-from .stopsets import is_incorrigible, is_stopping_set, peel_closure
+from .stopsets import is_incorrigible, peel_closure
 
 DECODED = "decoded"
 STALLED = "stalled"
@@ -91,7 +91,10 @@ def iterative_decode(h: BitMatrix, received: ReceivedWord) -> DecodeOutcome:
 
     Sweeps the rows in index order until a sweep changes nothing; the
     final erasure set is the peel closure of the initial one regardless
-    of schedule.
+    of schedule.  Parity is checked once, after peeling: values change
+    only at the position being filled, so a fully known row keeps its
+    parity from then on, and one pass over the rows fully known at the
+    end finds every contradiction.
     """
     if received.n != h.n:
         raise ValueError("received word length does not match matrix")
@@ -102,19 +105,16 @@ def iterative_decode(h: BitMatrix, received: ReceivedWord) -> DecodeOutcome:
         progress = False
         for row in h.rows:
             t = row & erased
-            if t == 0:
-                if (row & values).bit_count() % 2:
-                    raise ChannelModelViolation("parity violated on fully known positions")
-            elif t.bit_count() == 1:
+            if t.bit_count() == 1:
                 if (row & values).bit_count() % 2:
                     values |= t
                 erased ^= t
                 progress = True
+    if any(not row & erased and (row & values).bit_count() % 2 for row in h.rows):
+        raise ChannelModelViolation("parity violated on fully known positions")
     word = ReceivedWord(received.n, values, erased)
     recovered = (received.erasures ^ erased).bit_count()
-    if erased == 0:
-        return DecodeOutcome(DECODED, word, 0, recovered)
-    return DecodeOutcome(STALLED, word, erased, recovered)
+    return DecodeOutcome(STALLED if erased else DECODED, word, erased, recovered)
 
 
 def optimal_decode(code: LinearCode, received: ReceivedWord) -> DecodeOutcome:
@@ -155,15 +155,18 @@ class ErasureClass(NamedTuple):
 def classify_erasure_set(
     code: LinearCode, h: BitMatrix, subset: int | Iterable[int]
 ) -> ErasureClass:
-    """Label one erasure set: optimal failure, stopping, iterative failure."""
+    """Label one erasure set: optimal failure, stopping, iterative failure.
+
+    All three labels come from one peel closure, the residual: the set
+    is stopping iff it is its own closure, a dead end iff the closure is
+    nonempty, and incorrigible iff the closure is, since every codeword
+    support is a stopping set of every parity-check matrix of the code.
+    """
     if not is_parity_check_of(h, code):
         raise ValueError("matrix is not a parity-check matrix of the code")
     m = as_mask(subset)
-    return ErasureClass(
-        incorrigible=is_incorrigible(code, m),
-        stopping=is_stopping_set(h, m),
-        dead_end=peel_closure(h, m) != 0,
-    )
+    residual = peel_closure(h, m)
+    return ErasureClass(is_incorrigible(code, residual), residual == m, residual != 0)
 
 
 def is_parity_check_of(h: BitMatrix, code: LinearCode) -> bool:

@@ -1,6 +1,8 @@
-"""The package's exports: the README's API section, and what the demos use."""
+"""The package's exports: the README's API section and quick start, and what the demos use."""
 
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -35,3 +37,18 @@ def test_demos_import_only_exports():
                 imported.update(alias.name for alias in node.names)
     assert imported
     assert imported <= set(stopset.__all__), imported - set(stopset.__all__)
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    # each print line's comment, cut at "..." or at two spaces, starts the line it prints
+    section = (ROOT / "README.md").read_text().split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    expected = [re.split(r"\.\.\.|  ", line.split("# ", 1)[1])[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(expected) == len(printed) >= 5
+    for want, got in zip(expected, printed):
+        assert want and got.startswith(want), (want, got)

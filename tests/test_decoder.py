@@ -8,6 +8,7 @@ from stopset.decoder import (
     DECODED,
     STALLED,
     ChannelModelViolation,
+    DecodeOutcome,
     ReceivedWord,
     classify_erasure_set,
     is_parity_check_of,
@@ -15,9 +16,9 @@ from stopset.decoder import (
     optimal_decode,
 )
 from stopset.gf2 import BitMatrix, mask_from_indices
-from stopset.stopsets import is_stopping_set, peel_closure
+from stopset.stopsets import is_incorrigible, is_stopping_set, peel_closure
 
-from conftest import random_code_where, random_dual_spanning_matrix
+from conftest import random_code, random_code_where, random_dual_spanning_matrix
 
 RM = rm_8_4_4()
 H8 = catalog("H_8")
@@ -117,6 +118,83 @@ def test_iterative_channel_violation():
         iterative_decode(H8, r)
 
 
+def reference_iterative_decode(h, received):
+    """The peeling decoder with a parity check inside the sweep: every
+    sweep checks each fully known row as it passes it.  The reference for
+    iterative_decode's one check after peeling."""
+    if received.n != h.n:
+        raise ValueError("received word length does not match matrix")
+    values = received.values
+    erased = received.erasures
+    progress = True
+    while progress:
+        progress = False
+        for row in h.rows:
+            t = row & erased
+            if t == 0:
+                if (row & values).bit_count() % 2:
+                    raise ChannelModelViolation("parity violated on fully known positions")
+            elif t.bit_count() == 1:
+                if (row & values).bit_count() % 2:
+                    values |= t
+                erased ^= t
+                progress = True
+    word = ReceivedWord(received.n, values, erased)
+    recovered = (received.erasures ^ erased).bit_count()
+    if erased == 0:
+        return DecodeOutcome(DECODED, word, 0, recovered)
+    return DecodeOutcome(STALLED, word, erased, recovered)
+
+
+def _decode_or_violation(decode, h, word):
+    try:
+        return decode(h, word)
+    except ChannelModelViolation as exc:
+        return ("violation", str(exc))
+
+
+def _awkward_dual_spanning_matrix(rng, code):
+    """Dual-spanning rows in random order, with a zero row and a duplicate row at random."""
+    rows = list(random_dual_spanning_matrix(rng, code, rng.randrange(0, 3)).rows)
+    rows += [0] * rng.randrange(0, 2) + rng.sample(rows, min(len(rows), rng.randrange(0, 2)))
+    rng.shuffle(rows)
+    return BitMatrix(tuple(rows), code.n)
+
+
+def test_iterative_matches_reference_decoder():
+    # codewords, and codewords with one or two known bits flipped, which
+    # must raise the same violation from both decoders or from neither
+    rng = random.Random(55)
+    violations = 0
+    for _ in range(150):
+        code = random_code(rng, rng.randrange(1, 11), rng.randrange(0, 7))
+        h = _awkward_dual_spanning_matrix(rng, code)
+        generators = code.generator_basis.rows
+        for _ in range(20):
+            cw = 0
+            for g in generators:
+                cw ^= g * rng.randrange(2)
+            erasures = rng.randrange(0, 1 << code.n)
+            known = [i for i in range(code.n) if not erasures >> i & 1]
+            for i in rng.sample(known, min(len(known), rng.randrange(0, 3))):
+                cw ^= 1 << i
+            word = ReceivedWord.from_codeword(cw, code.n, erasures)
+            new = _decode_or_violation(iterative_decode, h, word)
+            assert new == _decode_or_violation(reference_iterative_decode, h, word), (h, str(word))
+            violations += isinstance(new, tuple)
+    assert violations >= 100  # the flipped words do reach the parity check
+
+
+def test_classify_matches_the_three_predicates_on_every_subset():
+    rng = random.Random(56)
+    for _ in range(25):
+        code = random_code(rng, rng.randrange(1, 8), rng.randrange(0, 6))
+        h = _awkward_dual_spanning_matrix(rng, code)
+        for m in range(1 << code.n):
+            expected = (is_incorrigible(code, m), is_stopping_set(h, m), peel_closure(h, m) != 0)
+            assert classify_erasure_set(code, h, m) == expected, (h, m)
+
+
 def test_optimal_examples():
     assert optimal_decode(RM, ReceivedWord.from_codeword(0, 8, CW_1278)).kind == AMBIGUOUS
     out = optimal_decode(RM, ReceivedWord.from_codeword(CW_1278, 8, {2, 5, 6}))
@@ -129,8 +207,6 @@ def test_optimal_examples():
 
 def test_optimal_matches_incorrigibility():
     rng = random.Random(52)
-    from stopset.stopsets import is_incorrigible
-
     for _ in range(150):
         code = random_code_where(rng, range(2, 9), range(1, 6), lambda c: c.k >= 1)
         cw = rng.choice(list(code.codewords()))
