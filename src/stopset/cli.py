@@ -73,7 +73,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
         out["matrix"] = {"rows": h.r, "n": h.n, **fields}
         lines += block
     if args.code or args.optimal:
-        code = _load(args.code or args.matrix, LinearCode)
+        # without --code, the code is the one the --matrix just loaded defines
+        code = _load(args.code, LinearCode) if args.code else LinearCode.from_parity_check(h)
         a = code.weight_enumerator.to_json_obj()
         star = optimal_enumerators(code) if args.optimal else None
         # D*(x) = I(x): the complete matrix's dead-end sets are the incorrigible sets

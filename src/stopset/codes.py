@@ -1,8 +1,8 @@
-"""Binary linear [n,k,d] block codes given by parity-check matrices.
+"""Binary linear [n,k,d] block codes, each the code of a parity-check matrix h.
 
-A code is the null space of the row space of its parity-check matrix;
-the row space itself is the dual code.  Values are immutable after
-construction and all operations are pure.
+A code is the null space of the row space of h; the row space itself
+is the dual code.  Values are immutable after construction and all
+operations are pure.
 
 One enumeration guard bounds every walk over 2**bits objects: the 2**n
 erasure subsets of the stopping-set kernels and the 2**k codewords of
@@ -29,7 +29,6 @@ from .gf2 import (
     _gray_iter,
     _null_space_of_reduced,
     parse_matrix,
-    rank,
     row_space_iter,
     rref,
 )
@@ -111,39 +110,27 @@ def _enumeration_refusal(name: str, bits: int) -> Optional[str]:
 
 
 class LinearCode:
-    """An [n,k,d] binary linear code given by a parity and a generator basis.
+    """The [n,k,d] binary linear code of the parity-check matrix h.
 
-    The constructor refuses a pair of bases that is not one code: either
-    basis with dependent rows, or a generator row failing a parity check.
-    It keeps the parity basis in reduced echelon form, which the dual
-    code fixes, so equal codes compare and hash equal whatever bases
-    they were built from.
+    The code is the null space of h; dependent, duplicate and zero rows
+    of h are legal and do not change it.  The parity basis is h in
+    reduced echelon form, which the code fixes, so equal codes compare
+    and hash equal whatever matrices they were built from; the generator
+    basis is the null space of h, reduced the same way.
     """
 
-    def __init__(self, parity_basis: BitMatrix, generator_basis: BitMatrix):
-        if parity_basis.n != generator_basis.n:
-            raise ValueError("parity and generator lengths disagree")
-        if parity_basis.n < 1:
+    def __init__(self, h: BitMatrix):
+        if h.n < 1:
             raise ValueError("code length must be positive")
-        self.parity_basis = rref(parity_basis)[0]
-        self.generator_basis = generator_basis
-        self.n = parity_basis.n
-        self.k = generator_basis.r
-        if parity_basis.r + self.k != self.n:
-            raise ValueError("basis ranks do not add up to n")
-        if self.parity_basis.r < parity_basis.r or rank(generator_basis) < self.k:
-            raise ValueError("basis rows are dependent")
-        if not all(map(self.contains, generator_basis.rows)):
-            raise ValueError("a generator row fails a parity check")
+        self.parity_basis, pivots = rref(h)
+        self.generator_basis = _null_space_of_reduced(self.parity_basis, pivots)
+        self.n = h.n
+        self.k = self.generator_basis.r
 
     @classmethod
     def from_parity_check(cls, h: BitMatrix) -> "LinearCode":
-        """Build the code defined by any parity-check matrix.
-
-        Dependent or duplicate rows are legal and do not change the code.
-        """
-        reduced, pivots = rref(h)
-        return cls(reduced, _null_space_of_reduced(reduced, pivots))
+        """The code of the parity-check matrix h, as LinearCode(h) builds it."""
+        return cls(h)
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
@@ -187,7 +174,7 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] dual code: generator and parity roles swap."""
-        return LinearCode(self.generator_basis, self.parity_basis)
+        return LinearCode(self.generator_basis)
 
 
 def direct_sum(parts: Sequence[LinearCode]) -> LinearCode:

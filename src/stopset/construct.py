@@ -22,8 +22,10 @@ anything is listed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -72,9 +74,10 @@ def weight_bounded_dual_matrix(code: LinearCode, w: int) -> BitMatrix:
     """
     rows = [v for v in _dual_words(code) if 0 < v.bit_count() <= w]
     m = BitMatrix(tuple(rows), code.n)
-    if rank(m) < code.n - code.k:
+    r = rank(m)
+    if r < code.n - code.k:
         raise ValueError(
-            f"dual words of weight <= {w} have rank {rank(m)} < {code.n - code.k}: "
+            f"dual words of weight <= {w} have rank {r} < {code.n - code.k}: "
             "not a parity-check matrix of the code"
         )
     return m
@@ -258,6 +261,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _binomials(n: int, top: int) -> Iterator[int]:
+    """C(n, 0), C(n, 1), ..., C(n, min(top, n)), each from the one before."""
+    c = 1
+    for i in range(min(top, n) + 1):
+        yield c
+        c = c * (n - i) // (i + 1)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Closed-form row-count bounds for a given (n, k, d, m).
@@ -290,11 +301,17 @@ def redundancy_bounds(
     the same goal.  ht_bound(m): rows sufficient for D_i = I_i up to
     size m.  holtol_bound: 2**(n-k-1) rows suffice for D(x) = I(x).
     entropy_bound: 2**(n H((k+1)/n)) rows suffice when k <= n/2 - 1.
+    Refuses an n-k whose 2**(n-k) has more digits than Python prints
+    as one int (sys.get_int_max_str_digits()).
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    notes: list[tuple[str, str]] = []
     r = n - k
+    # every bound is below 2**r; refuse before summing what JSON cannot print
+    digits = sys.get_int_max_str_digits()
+    if digits and r >= (10**digits).bit_length():
+        raise ValueError(f"n-k={r} too large: bounds up to 2**{r} exceed the {digits}-digit integer output limit")
+    notes: list[tuple[str, str]] = []
 
     sv = None
     if d is None:
@@ -302,7 +319,7 @@ def redundancy_bounds(
     elif d < 2:
         notes.append(("sv_bound", f"omitted: stated for d >= 3, got d={d}"))
     else:
-        sv = sum(math.comb(r, i) for i in range(1, d - 1))
+        sv = sum(_binomials(r, d - 2)) - 1  # sizes 1 .. d-2
         if d == 2:
             notes.append(("sv_bound", "empty sum: the formula's range starts at d >= 3"))
 
@@ -312,8 +329,8 @@ def redundancy_bounds(
     elif d < 2:
         notes.append(("hs_bound", f"omitted: stated for d >= 2, got d={d}"))
     else:
-        # ceil((d-1)/2) terms
-        hs = sum(math.comb(r, 2 * i - 1) for i in range(1, d // 2 + 1))
+        # the odd sizes 1, 3, ..., 2*(d//2) - 1: ceil((d-1)/2) terms
+        hs = sum(islice(_binomials(r, 2 * (d // 2) - 1), 1, None, 2))
 
     ht = None
     if m is None:
@@ -321,7 +338,7 @@ def redundancy_bounds(
     elif not 2 <= m <= r:
         notes.append(("ht_bound", f"omitted: need 2 <= m <= n-k, got m={m}"))
     else:
-        ht = sum(math.comb(r - 1, i) for i in range(m))
+        ht = sum(_binomials(r - 1, m - 1))
 
     holtol = None
     if k < n:

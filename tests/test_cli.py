@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -116,6 +117,20 @@ def test_enumerate_optimal_reads_the_code_of_matrix(capsys):
     assert "S_star" in json.loads(out)["optimal"]
     assert (0, out) == run(capsys, ["enumerate", "--matrix", "H_4", "--code", "H_4", "--optimal"])
     assert run(capsys, ["enumerate", "--optimal"])[0] == 2  # still needs a matrix or a code
+
+
+def test_enumerate_matrix_optimal_reads_the_file_once(capsys, monkeypatch, h8_file):
+    reads = []
+    original = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    code, out = run(capsys, ["enumerate", "--matrix", h8_file, "--optimal"])
+    assert code == 0 and json.loads(out)["code"]["k"] == 4
+    assert reads == [Path(h8_file)]
 
 
 def test_decode_iterative(capsys):
@@ -331,6 +346,16 @@ def test_bounds_entropy_overflow(capsys):
     code, out = run(capsys, ["bounds", "--n", "3000", "--k", "1000", "--pretty"])
     assert code == 0
     assert "entropy_bound = None" in out and "note[entropy_bound]:" in out
+
+
+def test_bounds_past_the_integer_output_limit_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["bounds", "--n", "20000", "--k", "0", "--m", "20000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 1
+    assert captured.err == (f"error: n-k=20000 too large: bounds up to 2**20000 exceed the "
+                            f"{sys.get_int_max_str_digits()}-digit integer output limit\n")
 
 
 def test_bounds_usage_error():

@@ -136,13 +136,11 @@ def _argv(rng, specs):
         if rng.randrange(2):
             argv += ["--max-rows", rng.choice(["-1", "0", "1", "2", "4", "x"])]
     elif command == "bounds":
-        # n up to 20000 prints a 2**19999 bound; d and m stay small, as the
-        # bounds sum about d and m binomial terms of n-k bits each
         for flag in ("--n", "--k"):
             argv += [flag, rng.choice(["-1", "0", "1", "2", "3", "8", "30", "200", "20000", "x"])]
         for flag in ("--d", "--m"):
             if rng.randrange(2):
-                argv += [flag, rng.choice(["-1", "0", "1", "2", "3", "8", "30", "200", "x"])]
+                argv += [flag, rng.choice(["-1", "0", "1", "2", "3", "8", "30", "200", "20000", "x"])]
     if rng.randrange(2):
         argv.append("--pretty")
     return argv

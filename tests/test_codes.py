@@ -14,7 +14,8 @@ from stopset.codes import (
     rm_8_4_4,
     zero_code,
 )
-from stopset.gf2 import BitMatrix, rank
+from stopset import gf2
+from stopset.gf2 import BitMatrix, null_space_basis, rank, rref
 
 from conftest import oracle_minimum_distance, poly_multiply, random_code
 
@@ -174,28 +175,21 @@ def test_codeword_guard():
         big.weight_enumerator
 
 
-def test_inconsistent_bases_refused():
-    with pytest.raises(ValueError, match="generator row fails a parity check"):
-        LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b01,), 2))
-    with pytest.raises(ValueError, match="dependent"):  # parity rows
-        LinearCode(BitMatrix((0b011, 0b011), 3), BitMatrix((0b100,), 3))
-    with pytest.raises(ValueError, match="dependent"):  # generator rows
-        LinearCode(BitMatrix((0b111,), 3), BitMatrix((0b011, 0b011), 3))
-    # a self-dual pair shares its rows and is one code
-    code = LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b11,), 2))
+def test_self_dual_code_from_one_row():
+    # {00, 11} is its own dual: one row is both its parity and its generator basis
+    code = LinearCode(BitMatrix((0b11,), 2))
     assert list(code.codewords()) == [0, 0b11] and code.weight_enumerator.coefficients == (1, 0, 1)
+    assert code.generator_basis == code.parity_basis and code.dual() == code
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: LinearCode(BitMatrix((0b11,), 2), BitMatrix((0b111,), 3)), "lengths disagree"),
-        (lambda: LinearCode(BitMatrix((), 0), BitMatrix((), 0)), "length must be positive"),
-        (lambda: LinearCode(BitMatrix((0b11,), 2), BitMatrix((), 2)), "ranks do not add up"),
+        (lambda: LinearCode(BitMatrix((), 0)), "length must be positive"),
         (lambda: full_code(0), "full code length must be >= 1"),
         (lambda: zero_code(0), "zero code length must be >= 1"),
     ],
-    ids=["length-mismatch", "empty-length", "rank-sum", "full-code-0", "zero-code-0"],
+    ids=["empty-length", "full-code-0", "zero-code-0"],
 )
 def test_malformed_codes_refused(build, message):
     with pytest.raises(ValueError, match=message):
@@ -203,12 +197,66 @@ def test_malformed_codes_refused(build, message):
 
 
 def test_equal_codes_from_different_parity_bases():
-    # both are {000, 111}; the constructor is given a basis that is not reduced
-    h = BitMatrix((0b011, 0b110), 3)
-    code = LinearCode(h, BitMatrix((0b111,), 3))
-    twin = LinearCode.from_parity_check(h)
+    # both are {000, 111}: one matrix is not reduced, the other adds a duplicate and a zero row
+    code = LinearCode(BitMatrix((0b011, 0b110), 3))
+    twin = LinearCode.from_parity_check(BitMatrix((0b101, 0b011, 0b101, 0), 3))
     assert code == twin
     assert hash(code) == hash(twin)
+
+
+CATALOG_CODES = ["rm_8_4_4", "hamming_7_4", "repetition(1)", "repetition(9)", "full(1)", "full(6)", "zero(1)", "zero(7)"]
+
+
+def _parity_check_matrices():
+    """Seeded random matrices with dependent, duplicate and zero rows, n <= 16;
+    then each catalog code's parity basis with a duplicate and a zero row
+    appended, and the catalog matrices."""
+    rng = random.Random(2306)
+    for _ in range(300):
+        n = rng.randrange(1, 17)
+        rows = [rng.randrange(1 << n) for _ in range(rng.randrange(n + 3))]
+        if len(rows) >= 2 and rng.randrange(2):
+            rows.append(rows[0] ^ rows[1])
+        if rows and rng.randrange(2):
+            rows.append(rng.choice(rows))
+        if rng.randrange(3) == 0:
+            rows.append(0)
+        rng.shuffle(rows)
+        yield BitMatrix(tuple(rows), n)
+    for name in CATALOG_CODES:
+        basis = catalog(name).parity_basis
+        yield BitMatrix(basis.rows + basis.rows[:1] + (0,), basis.n)
+    for name in ("H_4", "H_5", "H_8", "H_14"):
+        yield catalog(name)
+
+
+def test_bases_are_the_reduced_matrix_and_its_null_space():
+    for h in _parity_check_matrices():
+        code = LinearCode(h)
+        assert code.parity_basis == rref(h)[0]
+        assert code.generator_basis == null_space_basis(h)
+        dual, double = code.dual(), code.dual().dual()
+        assert (dual.parity_basis, dual.generator_basis) == (code.generator_basis, code.parity_basis)
+        assert (double.parity_basis, double.generator_basis) == (code.parity_basis, code.generator_basis)
+
+
+def test_each_code_costs_two_eliminations(monkeypatch):
+    runs = []
+    original = gf2._rref_rows
+
+    def counted(rows, ncols):
+        runs.append(len(rows))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(gf2, "_rref_rows", counted)
+    for h in _parity_check_matrices():
+        runs.clear()
+        LinearCode.from_parity_check(h)
+        assert len(runs) == 2, h
+    for name in CATALOG_CODES:
+        runs.clear()
+        catalog(name)
+        assert len(runs) == 2, name
 
 
 def test_code_repr_and_foreign_equality():

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -287,6 +289,36 @@ def test_bounds_omissions():
     assert rep.ht_bound is None
     with pytest.raises(ValueError):
         redundancy_bounds(4, 5)
+
+
+def test_bound_sums_match_the_binomial_formulas():
+    rng = random.Random(2007)
+    for _ in range(300):
+        n = rng.randrange(0, 300)
+        k = rng.randrange(0, n + 1)
+        d, m = rng.randrange(-1, n + 5), rng.randrange(-1, n + 5)
+        r = n - k
+        rep = redundancy_bounds(n, k, d, m)
+        if d >= 2:
+            assert rep.sv_bound == sum(math.comb(r, i) for i in range(1, d - 1))
+            assert rep.hs_bound == sum(math.comb(r, 2 * i - 1) for i in range(1, d // 2 + 1))
+        if 2 <= m <= r:
+            assert rep.ht_bound == sum(math.comb(r - 1, i) for i in range(m))
+
+
+def test_bounds_refuse_n_k_past_the_integer_output_limit():
+    # at a 640-digit limit every bound of n-k = 2126 still prints; n-k = 2127 is refused
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rep = redundancy_bounds(2126, 0, d=3000, m=2126)
+        json.dumps(rep.to_json_obj())
+        assert rep.sv_bound == (1 << 2126) - 1
+        assert rep.hs_bound == rep.ht_bound == rep.holtol_bound == 1 << 2125
+        with pytest.raises(ValueError, match=r"^n-k=2127 too large: .* the 640-digit integer output limit$"):
+            redundancy_bounds(2127, 0)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("d", [0, 1])
