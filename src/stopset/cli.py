@@ -31,25 +31,31 @@ from .harness import ChannelConfig, monte_carlo, table1_report
 from .stopsets import StoppingProfile, optimal_enumerators, profile, incorrigible_enumerator
 
 
-def _load(spec: str, kind: type):
+def _read(spec: str) -> LinearCode | BitMatrix:
     """A --matrix or --code argument: a parity-check file or a catalog name.
 
-    Returns a ``kind`` (BitMatrix or LinearCode): a code stands for its
-    parity-check basis, a matrix for the code it defines.  A catalog
-    entry with a bad parameter, such as ``repetition(0)``, keeps the
-    catalog's own message.
+    A catalog entry with a bad parameter, such as ``repetition(0)``,
+    keeps the catalog's own message.
     """
     path = Path(spec)
     if path.is_file():
-        obj = parse_matrix(path.read_text())
-    else:
-        try:
-            obj = catalog(spec)
-        except UnknownCatalogName:
-            raise ValueError(f"{spec!r} is neither a readable file nor a catalog name") from None
+        return parse_matrix(path.read_text())
+    try:
+        return catalog(spec)
+    except UnknownCatalogName:
+        raise ValueError(f"{spec!r} is neither a readable file nor a catalog name") from None
+
+
+def _as(obj: LinearCode | BitMatrix, kind: type):
+    """obj as a ``kind`` (BitMatrix or LinearCode): a code stands for its
+    parity-check basis, a matrix for the code it defines."""
     if isinstance(obj, kind):
         return obj
     return obj.parity_basis if kind is BitMatrix else LinearCode.from_parity_check(obj)
+
+
+def _load(spec: str, kind: type):
+    return _as(_read(spec), kind)
 
 
 def _profile_block(p: StoppingProfile, star: bool) -> tuple[dict, list[str]]:
@@ -68,13 +74,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
     out: dict = {}
     lines = []
     if args.matrix:
-        h = _load(args.matrix, BitMatrix)
+        source = _read(args.matrix)
+        h = _as(source, BitMatrix)
         fields, block = _profile_block(profile(h), star=False)
         out["matrix"] = {"rows": h.r, "n": h.n, **fields}
         lines += block
     if args.code or args.optimal:
-        # without --code, the code is the one the --matrix just loaded defines
-        code = _load(args.code, LinearCode) if args.code else LinearCode.from_parity_check(h)
+        # without --code, or with --code naming the --matrix, the code is the one just loaded
+        code = _as(source if not args.code or args.code == args.matrix else _read(args.code), LinearCode)
         a = code.weight_enumerator.to_json_obj()
         star = optimal_enumerators(code) if args.optimal else None
         # D*(x) = I(x): the complete matrix's dead-end sets are the incorrigible sets
@@ -110,8 +117,9 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, str, int]:
-    code = _load(args.code, LinearCode)
-    h = _load(args.matrix, BitMatrix)
+    source = _read(args.code)
+    code = _as(source, LinearCode)
+    h = _as(source if args.matrix == args.code else _read(args.matrix), BitMatrix)
     cfg = ChannelConfig(epsilon=args.epsilon, trials=args.trials, seed=args.seed)
     rep = monte_carlo(code, h, cfg)
 

@@ -15,6 +15,7 @@ construct).  _check_row_space_rank refuses before any listing starts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,19 +52,20 @@ def as_mask(subset: int | Iterable[int]) -> int:
     return mask_from_indices(subset)
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # str.translate with it keeps the characters other than 0 and 1
+
+
 def vector_from_string(s: str) -> int:
     """Parse a 0/1 string (leftmost char = coordinate 1) into a word."""
-    v = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            v |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid character {ch!r} in vector string")
-    return v
+    if bad := s.translate(_NOT_BITS):
+        raise ValueError(f"invalid character {bad[0]!r} in vector string")
+    return int(s[::-1], 2) if s else 0
 
 
 def vector_to_string(v: int, n: int) -> str:
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
+    """The word's coordinates 1..n as a 0/1 string, leftmost char = coordinate 1."""
+    v, n = operator.index(v), operator.index(n)
+    return format(v & ((1 << n) - 1), f"0{n}b")[::-1] if n > 0 else ""
 
 
 def _check_column_count(n: int) -> None:

@@ -18,14 +18,20 @@ yields the I flags too: its last leaf leaves the supports closed over
 every coordinate but n-1, and one more pass closes them.  Every flag
 array is allocated by _packed, behind the one enumeration guard of
 codes._enumeration_refusal (n <= 28 by default, overridden by the
-STOPSET_MAX_N env var); the flags then take 2**(n-3) bytes.
+STOPSET_MAX_N env var); the flags then take 2**(n-3) bytes.  The flag
+build, the closure and the histogram sweep the words in slabs of
+_SLAB_WORDS, so their temporaries are slab-sized: only the closure
+passes over coordinates whose word pairs span slabs run over the whole
+array, and those work in place.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +54,7 @@ _OF_SIZE = _pack(np.bitwise_count(_LOW) == np.arange(7)[:, None])  # [k]: the lo
 _MEETS = np.bitwise_count(_LOW[:, None] & _LOW)  # [t, b]: |t & b|
 # [t, c]: the low parts b with |t & b| + c != 1, for c = 0, 1 and c >= 2
 _MISSES = np.stack([_pack(_MEETS != 1), _pack(_MEETS != 0), np.full(64, ~np.uint64(0))], axis=1)
-_SLAB_WORDS = 1 << 14  # per slab of the stopping-flag pass; a power of two, so slabs tile the words
+_SLAB_WORDS = 1 << 14  # per slab of the kernel passes; a power of two, so slabs tile the words
 
 
 def _packed(n: int, fill: bool = False) -> np.ndarray:
@@ -92,42 +98,97 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return bits[: 1 << n].view(bool)
 
 
-def _upward_closure(words: np.ndarray, coords: Iterable[int]) -> np.ndarray:
+def _pair_pass(ufunc: np.ufunc, target: np.ndarray, source: np.ndarray, j: int, half: int) -> None:
+    """In place, apply ufunc to each word of target whose index holds
+    j >= 6 and the word of source in the same place (half 1) or at its
+    partner without j (half 0).
+
+    Such words come in blocks of 2**(j-6), alternating with their
+    partners.  A block shorter than a cache line (8 words) would make
+    the ufunc's inner loop that short, so when there are more blocks
+    than that the loop runs across the blocks instead.
+    """
+    block = 1 << (j - 6)
+    out = target.reshape(-1, 2, block)[:, 1]
+    operand = source.reshape(-1, 2, block)[:, half]
+    if block < 8 < len(out):
+        ufunc(out.T, operand.T, out=out.T, order="C")
+    else:
+        ufunc(out, operand, out=out)
+
+
+def _upward_closure(words: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     """In place, flag m + {j} wherever m is flagged, for each j in coords.
 
     Over range(n) this flags every superset of a flagged subset (an
-    OR-zeta transform).  Coordinate j < 6 lives inside the word: a shift
-    by 2**j moves each subset onto the subset with j added.  Coordinate
-    j >= 6 pairs whole words: those whose index holds j take the OR of
-    their partner.
+    OR-zeta transform); the passes commute, so their order is free.
+    Coordinate j < 6 lives inside the word: a shift by 2**j moves each
+    subset onto the subset with j added.  Coordinate j >= 6 pairs whole
+    words: those whose index holds j take the OR of their partner.
+    Every coordinate whose pairs lie inside one slab of _SLAB_WORDS is
+    swept slab by slab, all of them over one slab before the next, so
+    the passes stay in cache; only the coordinates above run over the
+    whole array.
     """
+    size = min(words.size, _SLAB_WORDS)
+    for start in range(0, words.size, size):
+        slab = words[start : start + size]
+        for j in coords:
+            if j < 6:
+                moved = slab << np.uint64(1 << j)
+                moved &= _HAS[j]
+                slab |= moved
+            elif 1 << (j - 6) < size:
+                _pair_pass(np.bitwise_or, slab, slab, j, 0)
     for j in coords:
-        if j < 6:
-            moved = words << np.uint64(1 << j)
-            moved &= _HAS[j]
-            words |= moved
-            del moved  # before the next pass allocates its own
-        else:
-            pairs = words.reshape(-1, 2, 1 << (j - 6))
-            pairs[:, 1] |= pairs[:, 0]
+        if j >= 6 and 1 << (j - 6) >= size:
+            _pair_pass(np.bitwise_or, words, words, j, 0)
     return words
+
+
+@functools.cache
+def _by_popcount(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices 0..2**bits - 1 grouped by popcount, and where each group starts.
+
+    A stable argsort of uint8 keys is a radix sort, so this costs about
+    as much as one pass over the indices.
+    """
+    order = np.argsort(np.bitwise_count(np.arange(1 << bits, dtype=np.uint16)), kind="stable")
+    return order, np.array([0, *itertools.accumulate(math.comb(bits, p) for p in range(bits))])
 
 
 def _histogram(words: np.ndarray, n: int) -> Enumerator:
     """Number of flagged subsets of each size, in exact integers.
 
-    poly[i, q] counts the flagged subsets of size i in words q.  Folding
-    in the top bit of the word index adds the upper half, one size up,
-    to the lower half.
+    The words are read in slabs of _SLAB_WORDS, each gathered in order
+    of the popcount p of its in-slab word index.  For k from 6 down, the
+    low parts of size at most k are counted per word and summed per p,
+    then the class of size k is cleared from the gathered words in
+    place; differences give the counts of size exactly k.  A slab whose
+    own index has popcount s adds them at size k + p + s.  Only one
+    slab of words and one slab of byte counts are formed.
     """
     low = min(n, 6)
-    poly = np.stack([np.bitwise_count(words & m) for m in _OF_SIZE[: low + 1]])
-    for covered in range(low + 1, n + 1):
-        half = poly.reshape(poly.shape[0], 2, -1)
-        poly = np.zeros((covered + 1, half.shape[2]), np.min_scalar_type(math.comb(covered, covered // 2)))
-        poly[:-1] = half[:, 0]
-        poly[1:] += half[:, 1]
-    return Enumerator(tuple(int(c) for c in poly[:, 0]))
+    size = min(words.size, _SLAB_WORDS)
+    order, starts = _by_popcount(size.bit_length() - 1)
+    up_to = np.bitwise_or.accumulate(_OF_SIZE)  # [k]: the low parts of size at most k
+    gathered = np.empty(size, np.uint64)
+    counts = np.empty(size, np.uint8)
+    grouped = np.empty((low + 1, starts.size), np.min_scalar_type(64 * size))  # [k, p]
+    sums = np.zeros((n + 2 - starts.size, starts.size), np.int64)  # [k + s, p]
+    for q, start in enumerate(range(0, words.size, size)):
+        words[start : start + size].take(order, out=gathered)
+        for k in range(low, -1, -1):
+            np.add.reduceat(np.bitwise_count(gathered, out=counts), starts, dtype=grouped.dtype, out=grouped[k])
+            if k:
+                gathered &= up_to[k - 1]
+        grouped[1:] -= grouped[:-1]  # size at most k -> size k
+        sums[q.bit_count() :][: low + 1] += grouped
+    poly = [0] * (n + 1)
+    for i, row in enumerate(sums.tolist()):
+        for p, c in enumerate(row):
+            poly[i + p] += c
+    return Enumerator(tuple(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +404,7 @@ def _keep_covered(flags: np.ndarray, words: np.ndarray, coords: range) -> None:
         if j < 6:
             flags &= words | ~_HAS[j]
         else:  # only the words whose index holds j
-            flags.reshape(-1, 2, 1 << (j - 6))[:, 1] &= words.reshape(-1, 2, 1 << (j - 6))[:, 1]
+            _pair_pass(np.bitwise_and, flags, words, j, 1)
         return
     first, second = coords[: len(coords) // 2], coords[len(coords) // 2 :]
     _keep_covered(flags, _upward_closure(words.copy(), second), first)

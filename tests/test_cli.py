@@ -16,7 +16,7 @@ import pytest
 
 import stopset.harness as harness_mod
 from stopset.cli import main
-from stopset.codes import catalog, rm_8_4_4
+from stopset.codes import LinearCode, catalog, rm_8_4_4
 from stopset.gf2 import BitMatrix, format_matrix
 
 from conftest import random_parity_matrix
@@ -131,6 +131,18 @@ def test_enumerate_matrix_optimal_reads_the_file_once(capsys, monkeypatch, h8_fi
     code, out = run(capsys, ["enumerate", "--matrix", h8_file, "--optimal"])
     assert code == 0 and json.loads(out)["code"]["k"] == 4
     assert reads == [Path(h8_file)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--matrix", "rm_8_4_4", "--optimal"],
+    ["enumerate", "--matrix", "rm_8_4_4", "--code", "rm_8_4_4"],
+    ["simulate", "--code", "rm_8_4_4", "--matrix", "rm_8_4_4", "--epsilon", "0.3", "--trials", "100", "--seed", "1"],
+])
+def test_a_code_named_twice_is_built_once(capsys, argv):
+    with mock.patch.object(LinearCode, "__init__", side_effect=LinearCode.__init__, autospec=True) as init:
+        code, _ = run(capsys, argv)
+    assert code == 0
+    assert init.call_count == 1
 
 
 def test_decode_iterative(capsys):

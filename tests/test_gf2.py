@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from stopset.codes import catalog, repetition
@@ -18,6 +19,7 @@ from stopset.gf2 import (
     solve,
     transpose,
     vector_from_string,
+    vector_to_string,
 )
 
 from conftest import random_parity_matrix
@@ -61,6 +63,45 @@ def test_rank_plus_nullity():
         n = rng.randrange(1, 14)
         m = random_parity_matrix(rng, n, rng.randrange(0, n + 3))
         assert rank(m) + null_space_basis(m).r == n
+
+
+def _loop_from_string(s):
+    # the per-character parser these functions replaced, kept as the reference
+    v = 0
+    for i, ch in enumerate(s):
+        if ch == "1":
+            v |= 1 << i
+        elif ch != "0":
+            raise ValueError(f"invalid character {ch!r} in vector string")
+    return v
+
+
+def _loop_to_string(v, n):
+    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
+
+
+def test_vector_strings_match_the_character_loops():
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(0, 80)
+        s = "".join(rng.choice("01") for _ in range(n))
+        assert vector_from_string(s) == _loop_from_string(s)
+        # bits at or above n, and negative words, are accepted and cut at n
+        for v in (rng.getrandbits(n), rng.getrandbits(n + 20), -rng.getrandbits(70) - 1):
+            assert vector_to_string(v, n) == _loop_to_string(v, n)
+            assert vector_from_string(vector_to_string(v, n)) == v & ((1 << n) - 1)
+    for v, n in [(0, 0), (5, 0), (-1, 0), (7, -3), (True, 2), (np.uint64(2**63 + 5), 64), (np.uint64(6), np.int64(70))]:
+        assert vector_to_string(v, n) == _loop_to_string(v, n)
+    assert vector_from_string("") == 0
+
+
+@pytest.mark.parametrize("s", ["1_0", "+1", "-1", " 1", "1 ", "10\t", "0b1", "12", "1x0", "\u0661", "0\u0660", "1\uff11", "1\u00b9"])
+def test_vector_from_string_refuses_what_int_would_accept(s):
+    with pytest.raises(ValueError) as exc:
+        _loop_from_string(s)
+    with pytest.raises(ValueError, match="invalid character .* in vector string") as new:
+        vector_from_string(s)
+    assert str(new.value) == str(exc.value)  # names the first bad character
 
 
 def test_select_columns_h8():

@@ -8,20 +8,24 @@ helpers, seeded by hypothesis.  Examples are derandomized so the suite
 stays deterministic.
 """
 
+import functools
 import math
+import operator
 import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stopset.codes import _SPAN_BLOCK_BITS, LinearCode, full_code, hamming_7_4, repetition, rm_8_4_4, zero_code
+from stopset.codes import _SPAN_BLOCK_BITS, Enumerator, LinearCode, full_code, hamming_7_4, repetition, rm_8_4_4, zero_code
 from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.decoder import is_parity_check_of
 from stopset.gf2 import BitMatrix, rank, row_space_iter, select_columns
 from stopset.stopsets import (
+    _HAS,
+    _OF_SIZE,
     _histogram,
     _incorrigible_flags,
     _keep_covered,
@@ -85,6 +89,87 @@ def test_stopping_flags_do_not_depend_on_the_slab_size(drawn, extra_rows, slab_w
     with mock.patch("stopset.stopsets._SLAB_WORDS", slab_words):
         assert np.array_equal(_stopping_flags(h), whole)
     assert _histogram(whole, h.n) == oracle_stopping_enumerator(h)
+
+
+SLAB_SIZES = [1, 2, 8, 64]  # words per slab: one word, and from one pair up to several slabs
+
+
+def _oracle_optimal_stopping(code):
+    """S*(x) by definition: a set is stopping for the complete matrix iff
+    it is the union of the codeword supports it contains."""
+    counts = [0] * (code.n + 1)
+    for m in range(1 << code.n):
+        if functools.reduce(operator.or_, contained_supports(code, m), 0) == m:
+            counts[m.bit_count()] += 1
+    return Enumerator(tuple(counts))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.integers(1, 14), st.integers(0, 6), st.integers(0, 2**32 - 1), st.integers(0, 3))
+@example(14, 6, 1, 2)
+@example(14, 0, 2, 0)
+@example(13, 4, 3, 3)
+def test_kernels_do_not_depend_on_the_slab_size(n, k, seed, extra_rows):
+    # k <= 6 (about) keeps the oracles' 2^n masks x 2^k codewords small at n = 14
+    rng = random.Random(seed)
+    code = random_code(rng, n, max(n - k, 0))
+    h = random_dual_spanning_matrix(rng, code, extra_rows)
+    s, d = oracle_stopping_enumerator(h), oracle_dead_end_enumerator(h)
+    i, s_star = oracle_incorrigible_enumerator(code), _oracle_optimal_stopping(code)
+    for slab_words in SLAB_SIZES:
+        with mock.patch("stopset.stopsets._SLAB_WORDS", slab_words):
+            flags = _stopping_flags(h)
+            assert _histogram(flags, n) == s
+            flags[0] &= ~np.uint64(1)  # the empty set
+            assert _histogram(_upward_closure(flags, range(n)), n) == d
+            p = profile(h)
+            assert (p.stopping, p.dead_end) == (s, d)
+            assert incorrigible_enumerator(code) == i
+            star = optimal_enumerators(code)
+            assert (star.stopping, star.dead_end) == (s_star, i), slab_words
+
+
+def _fold_histogram(words, n):
+    # the whole-array histogram the slab histogram replaced, kept as the reference
+    low = min(n, 6)
+    poly = np.stack([np.bitwise_count(words & m) for m in _OF_SIZE[: low + 1]])
+    for covered in range(low + 1, n + 1):
+        half = poly.reshape(poly.shape[0], 2, -1)
+        poly = np.zeros((covered + 1, half.shape[2]), np.min_scalar_type(math.comb(covered, covered // 2)))
+        poly[:-1] = half[:, 0]
+        poly[1:] += half[:, 1]
+    return Enumerator(tuple(int(c) for c in poly[:, 0]))
+
+
+def _reshape_closure(words, coords):
+    # the whole-array closure passes the slab-swept ones replaced, kept as the reference
+    for j in coords:
+        if j < 6:
+            moved = words << np.uint64(1 << j)
+            moved &= _HAS[j]
+            words |= moved
+        else:
+            pairs = words.reshape(-1, 2, 1 << (j - 6))
+            pairs[:, 1] |= pairs[:, 0]
+    return words
+
+
+@pytest.mark.parametrize("slab_words", SLAB_SIZES)
+@pytest.mark.parametrize("n", range(1, 21))
+def test_slab_kernels_match_the_whole_array_passes(n, slab_words, monkeypatch):
+    rng = np.random.default_rng(n)
+    size = 1 << max(n - 6, 0)
+    sparse = functools.reduce(operator.and_, rng.integers(0, 2**64, (3, size), dtype=np.uint64))  # 1 bit in 8
+    if n < 6:
+        sparse &= np.uint64((1 << (1 << n)) - 1)
+    monkeypatch.setattr("stopset.stopsets._SLAB_WORDS", slab_words)
+    for j in range(n):
+        assert np.array_equal(_upward_closure(sparse.copy(), [j]), _reshape_closure(sparse.copy(), [j])), j
+    coords = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+    closed = _upward_closure(sparse.copy(), coords)
+    assert np.array_equal(closed, _reshape_closure(sparse.copy(), coords))
+    for words in (sparse, closed, _packed(n), _packed(n, fill=True)):
+        assert _histogram(words, n) == _fold_histogram(words, n)
 
 
 @PROPERTY

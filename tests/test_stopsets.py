@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,7 @@ from conftest import (
 RM = rm_8_4_4()
 H8 = catalog("H_8")
 H14 = catalog("H_14")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -409,3 +414,38 @@ def test_profile_bundles_consistent_values():
     p = profile(catalog("H_4"))
     assert p.stopping_distance == 3
     assert p.dead_end[3] == p.stopping[3]  # D_s = S_s
+
+
+_BOUNDED_CHILD = """
+import random
+from stopset.gf2 import BitMatrix
+from stopset.codes import LinearCode
+from stopset.stopsets import incorrigible_enumerator, profile
+
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+
+n = 26
+rng = random.Random(26)
+h = BitMatrix(tuple(rng.getrandbits(n) for _ in range(13)), n)
+code = LinearCode.from_parity_check(h)
+before = peak_mb()
+p, i = profile(h), incorrigible_enumerator(code)
+assert sum(p.stopping.coefficients) >= 1 and i.coefficients[0] == 0
+print(peak_mb() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads the peak RSS from /proc")
+def test_kernel_memory_is_the_flags_plus_slab_temporaries():
+    # At n = 26 the flags take 2**20 words, 8 MB, and every other temporary
+    # is slab-sized.  The child reads its own peak RSS (VmHWM): its
+    # ru_maxrss would start at the size of the process that started it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    flag_mb = 8
+    assert float(proc.stdout) <= 2 * flag_mb + 4
