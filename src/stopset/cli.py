@@ -71,17 +71,17 @@ def _profile_block(p: StoppingProfile, star: bool) -> tuple[dict, list[str]]:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
     if not args.matrix and not args.code:
         raise ValueError("need --matrix and/or --code")
+    read = functools.cache(_read)  # a spec named twice is read and built once
     out: dict = {}
     lines = []
     if args.matrix:
-        source = _read(args.matrix)
-        h = _as(source, BitMatrix)
+        h = _as(read(args.matrix), BitMatrix)
         fields, block = _profile_block(profile(h), star=False)
         out["matrix"] = {"rows": h.r, "n": h.n, **fields}
         lines += block
     if args.code or args.optimal:
-        # without --code, or with --code naming the --matrix, the code is the one just loaded
-        code = _as(source if not args.code or args.code == args.matrix else _read(args.code), LinearCode)
+        # without --code, the code is the one --matrix defines
+        code = _as(read(args.code or args.matrix), LinearCode)
         a = code.weight_enumerator.to_json_obj()
         star = optimal_enumerators(code) if args.optimal else None
         # D*(x) = I(x): the complete matrix's dead-end sets are the incorrigible sets
@@ -117,9 +117,9 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, str, int]:
-    source = _read(args.code)
-    code = _as(source, LinearCode)
-    h = _as(source if args.matrix == args.code else _read(args.matrix), BitMatrix)
+    read = functools.cache(_read)  # a spec named twice is read and built once
+    code = _as(read(args.code), LinearCode)
+    h = _as(read(args.matrix), BitMatrix)
     cfg = ChannelConfig(epsilon=args.epsilon, trials=args.trials, seed=args.seed)
     rep = monte_carlo(code, h, cfg)
 
@@ -147,24 +147,22 @@ def _matrix_payload(h: BitMatrix) -> dict:
 
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict, str, int]:
     code = _load(args.code, LinearCode)
+    extra: dict = {}
     if args.mode == "complete":
         h = construct_mod.complete_matrix(code)
-        out = _matrix_payload(h)
     elif args.mode == "low-weight":
         w = args.weight if args.weight is not None else code.k + 1
         h = construct_mod.weight_bounded_dual_matrix(code, w)
-        out = _matrix_payload(h)
-        out["weight_limit"] = w
+        extra["weight_limit"] = w
     elif args.mode == "bad":
         h, perm = construct_mod.bad_matrix(code)
-        out = _matrix_payload(h)
-        out["permutation"] = list(perm)
+        extra["permutation"] = list(perm)
     else:  # search
         h = construct_mod.minimal_matrix_search(code, args.predicate, args.max_rows)
         if h is None:
             return {"found": False}, "no matrix found", 0
-        out = _matrix_payload(h)
-        out["found"] = True
+        extra["found"] = True
+    out = {**_matrix_payload(h), **extra}
     return out, out["matrix_text"], 0
 
 

@@ -10,10 +10,15 @@ codewords() and A(x).  It is n, k <= 28 by default, overridden by the
 STOPSET_MAX_N env var; _enumeration_limit is the one reader of that
 variable and _enumeration_refusal writes every refusal.  Since k <= n,
 a code under the guard in n is under it in k too.
+
+catalog looks up every name without a parameter (the paper's codes
+and its H_4, H_5, H_8 and H_14 matrices) in one table, and every
+``name(n)`` in _PARAM_CODES.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -31,6 +36,7 @@ from .gf2 import (
     parse_matrix,
     row_space_iter,
     rref,
+    transpose,
 )
 
 _DEFAULT_ENUMERATION_LIMIT = 28  # 2**n subsets or 2**k codewords
@@ -215,7 +221,8 @@ def zero_code(n: int) -> LinearCode:
 
 
 # The standard 8x8 parity-check matrix for the [8,4,4] Reed-Muller code,
-# embedded verbatim; first 4 or 5 rows are the H_4 / H_5 benchmarks.
+# embedded verbatim; its first 4, 5 and 8 rows are the paper's H_4, H_5
+# and H_8 benchmark matrices.
 _H8_TEXT = """
 10101010
 01010101
@@ -227,43 +234,39 @@ _H8_TEXT = """
 10010110
 """
 
-_HAMMING_7_4_TEXT = """
-1010101
-0110011
-0001111
-"""
 
-
-def _h8_matrix() -> BitMatrix:
-    return parse_matrix(_H8_TEXT)
+def _h8_rows(r: int) -> BitMatrix:
+    """The first r rows of H_8."""
+    return BitMatrix(parse_matrix(_H8_TEXT).rows[:r], 8)
 
 
 def rm_8_4_4() -> LinearCode:
     """The self-dual [8,4,4] Reed-Muller code."""
-    return LinearCode.from_parity_check(_h8_matrix())
+    return LinearCode.from_parity_check(_h8_rows(8))
 
 
 def hamming_7_4() -> LinearCode:
-    """The [7,4,3] Hamming code (columns are all nonzero triples)."""
-    return LinearCode.from_parity_check(parse_matrix(_HAMMING_7_4_TEXT))
+    """The [7,4,3] Hamming code: the columns of its parity-check matrix
+    are the seven nonzero 3-bit words, column j holding j."""
+    return LinearCode.from_parity_check(transpose(BitMatrix(tuple(range(1, 8)), 3)))
 
 
 def _h14_matrix() -> BitMatrix:
+    """H_14: the fourteen weight-4 words of rm_8_4_4's dual, ascending."""
     code = rm_8_4_4()
     words = sorted(w for w in row_space_iter(code.parity_basis) if w.bit_count() == 4)
     return BitMatrix(tuple(words), 8)
 
 
-_NAMED_CODES = {
+# every catalog name without a parameter, code or matrix
+_NAMED = {
     "rm_8_4_4": rm_8_4_4,
     "hamming_7_4": hamming_7_4,
+    **{f"H_{r}": functools.partial(_h8_rows, r) for r in (4, 5, 8)},
+    "H_14": _h14_matrix,
 }
 
-_PARAM_CODES = {
-    "repetition": repetition,
-    "full": full_code,
-    "zero": zero_code,
-}
+_PARAM_CODES = {"repetition": repetition, "full": full_code, "zero": zero_code}
 
 
 class UnknownCatalogName(ValueError):
@@ -275,17 +278,13 @@ def catalog(name: str) -> LinearCode | BitMatrix:
 
     Codes: ``repetition(n)``, ``full(n)``, ``zero(n)``, ``rm_8_4_4``,
     ``hamming_7_4``.  Matrices: ``H_4``, ``H_5``, ``H_8``, ``H_14``.
+    A name without a parameter is a key of one table; ``name(n)`` is
+    a function of _PARAM_CODES applied to n.
     """
     name = name.strip()
-    if name in _NAMED_CODES:
-        return _NAMED_CODES[name]()
-    m = re.fullmatch(r"(repetition|full|zero)\((\d+)\)", name)
-    if m:
-        return _PARAM_CODES[m.group(1)](int(m.group(2)))
-    m = re.fullmatch(r"H_(4|5|8)", name)
-    if m:
-        h8 = _h8_matrix()
-        return BitMatrix(h8.rows[: int(m.group(1))], 8)
-    if name == "H_14":
-        return _h14_matrix()
+    if name in _NAMED:
+        return _NAMED[name]()
+    m = re.fullmatch(r"(\w+)\((\d+)\)", name)
+    if m and m[1] in _PARAM_CODES:
+        return _PARAM_CODES[m[1]](int(m[2]))
     raise UnknownCatalogName(f"unknown catalog name {name!r}")

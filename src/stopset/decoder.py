@@ -4,7 +4,9 @@ and optimal (maximum-likelihood) decoding over the code.
 Received words are strings over {0,1,?} with ? marking an erasure; the
 channel never flips bits, so any parity contradiction on fully known
 positions is a channel-model violation and raises rather than being
-ignored.
+ignored.  A received word is two GF(2) words, its known values and its
+erasures, and its string is parsed and written with gf2's 0/1 vector
+codec, one 0/1 string per word.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .codes import LinearCode
-from .gf2 import BitMatrix, as_mask, indices_from_mask, rank, rref, select_columns, solve
+from .gf2 import (BitMatrix, as_mask, indices_from_mask, rank, rref, select_columns, solve,
+                  vector_from_string, vector_to_string)
 from .stopsets import is_incorrigible, peel_closure
 
 DECODED = "decoded"
 STALLED = "stalled"
 AMBIGUOUS = "ambiguous"
+
+_NOT_RECEIVED = str.maketrans("", "", "01?")  # str.translate with it keeps the characters other than 0, 1 and ?
+_ERASED = str.maketrans("1?", "01")  # a received word -> the 0/1 string of its erasures
 
 
 class ChannelModelViolation(Exception):
@@ -41,16 +47,9 @@ class ReceivedWord:
 
     @classmethod
     def from_string(cls, s: str) -> "ReceivedWord":
-        values = 0
-        erasures = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                values |= 1 << i
-            elif ch == "?":
-                erasures |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid received-word character {ch!r}")
-        return cls(len(s), values, erasures)
+        if bad := s.translate(_NOT_RECEIVED):
+            raise ValueError(f"invalid received-word character {bad[0]!r}")
+        return cls(len(s), vector_from_string(s.replace("?", "0")), vector_from_string(s.translate(_ERASED)))
 
     @classmethod
     def from_codeword(cls, word: int, n: int, erasures: int | Iterable[int]) -> "ReceivedWord":
@@ -58,11 +57,9 @@ class ReceivedWord:
         return cls(n, word & ~mask, mask)
 
     def __str__(self) -> str:
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            out.append("?" if self.erasures & bit else ("1" if self.values & bit else "0"))
-        return "".join(out)
+        # '?' sorts after '0' and '1', so max puts it at every erased position
+        erased = vector_to_string(self.erasures, self.n).replace("1", "?")
+        return "".join(map(max, vector_to_string(self.values, self.n), erased))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ so the word 10100000 of length 8 is the int 0b101 = 5.  Matrices are
 immutable tuples of such row words plus an explicit column count.
 Everything here is a pure function; values are safe to share across
 threads.  solve returns one particular solution or None; the solution
-set is that vector plus the span of null_space_basis.
+set is that vector plus the span of null_space_basis.  transpose is the
+one routine that moves bits between rows and columns: select_columns
+and permute_columns pick rows of the transpose and transpose back, so
+they, like transpose, take matrices of at most MAX_BITS rows.
 
 Two size caps live here: MAX_BITS bounds both matrix dimensions, and
 ROW_SPACE_RANK_LIMIT bounds every row space listed in full as Python
@@ -198,18 +201,6 @@ def _null_space_of_reduced(reduced: BitMatrix, pivots: tuple[int, ...]) -> BitMa
     return rref(BitMatrix(tuple(basis), reduced.n))[0]
 
 
-def _pack_columns(m: BitMatrix, cols: Sequence[int]) -> tuple[int, ...]:
-    """Rows of M rebuilt from the given 1-based columns, in that order."""
-    rows = []
-    for v in m.rows:
-        packed = 0
-        for new_pos, j in enumerate(cols):
-            if v & (1 << (j - 1)):
-                packed |= 1 << new_pos
-        rows.append(packed)
-    return tuple(rows)
-
-
 def _column_mask(m: BitMatrix, subset: int | Iterable[int]) -> int:
     """as_mask(subset), refusing coordinates beyond the columns of M."""
     mask = as_mask(subset)
@@ -221,7 +212,8 @@ def _column_mask(m: BitMatrix, subset: int | Iterable[int]) -> int:
 def select_columns(m: BitMatrix, subset: int | Iterable[int]) -> BitMatrix:
     """Submatrix of the columns in ``subset``, ascending, row order kept."""
     cols = indices_from_mask(_column_mask(m, subset))
-    return BitMatrix(_pack_columns(m, cols), len(cols))
+    columns = transpose(m).rows
+    return transpose(BitMatrix(tuple(columns[j - 1] for j in cols), m.r))
 
 
 def permute_columns(m: BitMatrix, perm: Iterable[int]) -> BitMatrix:
@@ -229,10 +221,12 @@ def permute_columns(m: BitMatrix, perm: Iterable[int]) -> BitMatrix:
     order = tuple(perm)
     if sorted(order) != list(range(1, m.n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    return BitMatrix(_pack_columns(m, order), m.n)
+    columns = transpose(m).rows
+    return transpose(BitMatrix(tuple(columns[j - 1] for j in order), m.r))
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
+    """M with rows and columns swapped; M may have at most MAX_BITS rows."""
     rows = []
     for col in range(m.n):
         bit = 1 << col

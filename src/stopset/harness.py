@@ -27,6 +27,7 @@ residuals instead; a worker classifies the pieces it drew itself.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -59,13 +60,23 @@ _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Binary erasure channel simulation parameters."""
+    """Binary erasure channel simulation parameters.
+
+    trials and seed are stored as the Python ints operator.index gives,
+    so a float is refused rather than truncated, and a numpy integer is
+    stored as an int that the JSON report can hold.
+    """
 
     epsilon: float
     trials: int
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
         if self.trials < 1:

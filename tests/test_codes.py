@@ -6,6 +6,7 @@ import pytest
 from stopset.codes import (
     Enumerator,
     LinearCode,
+    UnknownCatalogName,
     catalog,
     direct_sum,
     full_code,
@@ -140,9 +141,21 @@ def test_catalog_codes():
     assert catalog("rm_8_4_4").weight_enumerator.poly_str() == "1+14x^4+x^8"
     h74 = catalog("hamming_7_4")
     assert (h74.n, h74.k, h74.minimum_distance) == (7, 4, 3)
+    # the parity bases, as rows over coordinates 1..n
+    assert catalog("hamming_7_4").parity_basis.row_strings() == ["1010101", "0110011", "0001111"]
+    assert catalog("rm_8_4_4").parity_basis.row_strings() == ["10010110", "01010101", "00110011", "00001111"]
+
+
+H8_ROWS = ["10101010", "01010101", "00110011", "00001111", "11110000", "11001100", "01101001", "10010110"]
+H14_ROWS = [
+    "11110000", "11001100", "00111100", "10101010", "01011010", "01100110", "10010110",
+    "01101001", "10011001", "10100101", "01010101", "11000011", "00110011", "00001111",
+]
 
 
 def test_catalog_matrices():
+    for name, rows in [("H_4", H8_ROWS[:4]), ("H_5", H8_ROWS[:5]), ("H_8", H8_ROWS), ("H_14", H14_ROWS)]:
+        assert catalog(name).row_strings() == rows, name
     h4, h5, h8 = catalog("H_4"), catalog("H_5"), catalog("H_8")
     assert h4.rows == h8.rows[:4]
     assert h5.rows == h8.rows[:5]
@@ -154,10 +167,10 @@ def test_catalog_matrices():
 
 
 def test_catalog_unknown():
-    with pytest.raises(ValueError):
-        catalog("golay_23_12")
-    with pytest.raises(ValueError):
-        catalog("repetition(x)")
+    for name in ("golay_23_12", "repetition(x)", "H_6", "foo(3)"):
+        with pytest.raises(UnknownCatalogName) as exc:
+            catalog(name)
+        assert str(exc.value) == f"unknown catalog name {name!r}"
 
 
 def test_enumerator_rendering():

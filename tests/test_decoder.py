@@ -1,4 +1,7 @@
+import functools
+import itertools
 import random
+import re
 
 import pytest
 
@@ -33,6 +36,15 @@ def test_received_word_string_roundtrip():
     r = ReceivedWord.from_string("01?10?")
     assert str(r) == "01?10?"
     assert r.erasures == 0b100100
+    for n in range(9):
+        for chars in itertools.product("01?", repeat=n):
+            s = "".join(chars)
+            r = ReceivedWord.from_string(s)
+            assert str(r) == s
+            # character i is coordinate i+1: a 1 sets value bit i, a ? erasure bit i
+            assert r.n == n
+            assert r.values == sum(1 << i for i, ch in enumerate(s) if ch == "1"), s
+            assert r.erasures == sum(1 << i for i, ch in enumerate(s) if ch == "?"), s
     with pytest.raises(ValueError):
         ReceivedWord.from_string("01x")
     with pytest.raises(ValueError):
@@ -46,11 +58,18 @@ def test_received_word_string_roundtrip():
         (lambda: ReceivedWord(3, 0, 0b1000), "bits beyond word length 3"),
         (lambda: iterative_decode(H8, ReceivedWord.from_string("0000000")), "does not match matrix"),
         (lambda: optimal_decode(RM, ReceivedWord.from_string("0000000")), "does not match code"),
+        # int() would take "_", "+", " " and other scripts' digits; none is a
+        # received-word character, and the first bad one is named
+        *[
+            (functools.partial(ReceivedWord.from_string, f"0?{bad}1z"), f"invalid received-word character {bad!r}")
+            for bad in ("x", "_", "+", " ", "\u0663", "\uff12")
+        ],
     ],
-    ids=["values-beyond-n", "erasures-beyond-n", "iterative-length", "optimal-length"],
+    ids=["values-beyond-n", "erasures-beyond-n", "iterative-length", "optimal-length",
+         "char-x", "char-underscore", "char-plus", "char-space", "char-arabic-indic-three", "char-fullwidth-two"],
 )
 def test_malformed_words_refused(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         build()
 
 

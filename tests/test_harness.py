@@ -39,6 +39,20 @@ def test_channel_config_validation():
         ChannelConfig(epsilon=0.5, trials=10, seed=-1)
 
 
+@pytest.mark.parametrize("trials, seed, name", [(20_000, 1.5, "seed"), (1.5, 1, "trials")])
+def test_channel_config_refuses_a_float_count(trials, seed, name):
+    # seed 1.5 would run seed 1's stream under a report saying 1.5
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+        ChannelConfig(epsilon=0.3, trials=trials, seed=seed)
+
+
+def test_channel_config_stores_numpy_integers_as_ints():
+    cfg = ChannelConfig(epsilon=0.3, trials=np.int64(2000), seed=np.uint64(5))
+    assert (type(cfg.trials), type(cfg.seed)) == (int, int)
+    reports = [monte_carlo(RM, catalog("H_4"), c).to_json_obj() for c in (cfg, ChannelConfig(0.3, 2000, 5))]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+
 def test_analytic_single_term():
     e = Enumerator((0, 0, 0, 0, 1))  # x^4
     assert analytic_pud(e, 0.3) == pytest.approx(0.3**4)

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 from stopset.codes import _SPAN_BLOCK_BITS, Enumerator, LinearCode, full_code, hamming_7_4, repetition, rm_8_4_4, zero_code
 from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.decoder import is_parity_check_of
-from stopset.gf2 import BitMatrix, rank, row_space_iter, select_columns
+from stopset.gf2 import BitMatrix, permute_columns, rank, row_space_iter, select_columns
 from stopset.stopsets import (
     _HAS,
     _OF_SIZE,
+    _SLAB_WORDS,
     _histogram,
     _incorrigible_flags,
     _keep_covered,
@@ -53,6 +54,7 @@ from conftest import (
     oracle_passing_candidates,
     oracle_stopping_enumerator,
     oracle_weight_enumerator,
+    poly_multiply,
     random_code,
     random_dual_spanning_matrix,
     random_parity_matrix,
@@ -170,6 +172,40 @@ def test_slab_kernels_match_the_whole_array_passes(n, slab_words, monkeypatch):
     assert np.array_equal(closed, _reshape_closure(sparse.copy(), coords))
     for words in (sparse, closed, _packed(n), _packed(n, fill=True)):
         assert _histogram(words, n) == _fold_histogram(words, n)
+
+
+def _complement(e):
+    # (1+x)^n - E: the sets E does not count
+    return Enumerator(tuple(math.comb(e.n, i) - c for i, c in enumerate(e.coefficients)))
+
+
+@pytest.mark.parametrize("n1, n2, seed", [(12, 12, 1), (12, 12, 2), (13, 13, 3), (13, 13, 4)])
+def test_direct_sum_identities_across_slabs(n1, n2, seed):
+    # H = diag(H1, H2) with its columns shuffled, at n = 24 and 26 with the
+    # real _SLAB_WORDS: the closure passes over coordinates j >= 20 pair
+    # words in different slabs, which no oracle reaches.  A set is stopping
+    # (not a dead end, not incorrigible; stopping for the complete matrix)
+    # iff both its halves are, so S, (1+x)^n - D, (1+x)^n - I and S* are
+    # products over the parts; the parts' own values are checked against
+    # the oracles at n <= 14 above.
+    rng = random.Random(seed)
+    parts = []
+    for n in (n1, n2):
+        code = random_code(rng, n, rng.randrange(4, 7))
+        parts.append((code, random_dual_spanning_matrix(rng, code, rng.randrange(4))))
+    (code1, h1), (code2, h2) = parts
+    perm = rng.sample(range(1, n1 + n2 + 1), n1 + n2)
+    h = permute_columns(BitMatrix(h1.rows + tuple(row << n1 for row in h2.rows), n1 + n2), perm)
+    code = LinearCode(h)
+    assert 1 << (h.n - 6) > _SLAB_WORDS  # more than one slab
+    p, p1, p2 = profile(h), profile(h1), profile(h2)
+    assert p.stopping == poly_multiply(p1.stopping, p2.stopping)
+    assert _complement(p.dead_end) == poly_multiply(_complement(p1.dead_end), _complement(p2.dead_end))
+    i = poly_multiply(_complement(incorrigible_enumerator(code1)), _complement(incorrigible_enumerator(code2)))
+    assert _complement(incorrigible_enumerator(code)) == i
+    star, star1, star2 = optimal_enumerators(code), optimal_enumerators(code1), optimal_enumerators(code2)
+    assert star.stopping == poly_multiply(star1.stopping, star2.stopping)
+    assert _complement(star.dead_end) == i
 
 
 @PROPERTY
