@@ -26,7 +26,7 @@ from .decoder import (
     iterative_decode,
     optimal_decode,
 )
-from .gf2 import BitMatrix, format_matrix, parse_matrix, rank
+from .gf2 import BitMatrix, format_matrix, int_from_string, parse_matrix, rank
 from .harness import ChannelConfig, monte_carlo, table1_report
 from .stopsets import StoppingProfile, optimal_enumerators, profile, incorrigible_enumerator
 
@@ -103,10 +103,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str, int]:
 def _cmd_decode(args: argparse.Namespace) -> tuple[dict, str, int]:
     source = _load(args.matrix, LinearCode if args.optimal else BitMatrix)
     word = ReceivedWord.from_string(args.word)
-    if args.optimal:
-        outcome = optimal_decode(source, word)
-    else:
-        outcome = iterative_decode(source, word)
+    outcome = (optimal_decode if args.optimal else iterative_decode)(source, word)
     out = {
         "kind": outcome.kind,
         "word": str(outcome.word),
@@ -189,6 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stopping/dead-end/incorrigible set analysis for binary linear codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def integer(text: str) -> int:
+        """An integer argument, read by gf2's reader; refused with argparse's int message."""
+        if (value := int_from_string(text)) is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return value
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true")
 
@@ -208,24 +212,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=integer, required=True)
+    p.add_argument("--seed", type=integer, required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("construct", parents=[common], help="build a parity-check matrix with a target property")
     p.add_argument("mode", choices=["complete", "low-weight", "bad", "search"])
     p.add_argument("--code", required=True)
-    p.add_argument("--weight", type=int, help="weight cap for low-weight (default k+1)")
+    p.add_argument("--weight", type=integer, help="weight cap for low-weight (default k+1)")
     p.add_argument("--predicate", choices=construct_mod.PREDICATES, default="D=I",
                    help="search target (default D=I)")
-    p.add_argument("--max-rows", type=int)
+    p.add_argument("--max-rows", type=integer)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("bounds", parents=[common], help="row-count bounds for optimal iterative decoding")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--d", type=integer)
+    p.add_argument("--m", type=integer)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify-table1", parents=[common], help="recompute the benchmark table and diff it")

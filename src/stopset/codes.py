@@ -11,9 +11,14 @@ STOPSET_MAX_N env var; _enumeration_limit is the one reader of that
 variable and _enumeration_refusal writes every refusal.  Since k <= n,
 a code under the guard in n is under it in k too.
 
+The dual codewords are listed in one place, _dual_words: the sorted
+dual code, built from _span_blocks, that H_14 and construct's matrices
+start from.  It refuses a dual of rank above gf2.ROW_SPACE_RANK_LIMIT
+before it lists anything.
+
 catalog looks up every name without a parameter (the paper's codes
 and its H_4, H_5, H_8 and H_14 matrices) in one table, and every
-``name(n)`` in _PARAM_CODES.
+``name(n)`` in _PARAM_CODES, n read by gf2.int_from_string.
 """
 
 from __future__ import annotations
@@ -31,11 +36,13 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     _check_column_count,
+    _check_row_space_rank,
     _gray_iter,
     _null_space_of_reduced,
+    int_from_string,
     parse_matrix,
-    row_space_iter,
     rref,
+    syndrome,
     transpose,
 )
 
@@ -99,12 +106,18 @@ def _span_blocks(rows: Sequence[int]) -> Iterator[np.ndarray]:
         yield block ^ np.uint64(coset)
 
 
+def _dual_words(code: LinearCode) -> list[int]:
+    """All 2**(n-k) dual codewords, ascending as integers (zero first)."""
+    _check_row_space_rank(code.n - code.k)
+    return np.sort(np.concatenate(list(_span_blocks(code.parity_basis.rows)))).tolist()
+
+
 def _enumeration_limit() -> int:
     """The enumeration guard: STOPSET_MAX_N, else the default."""
     env = os.environ.get("STOPSET_MAX_N") or str(_DEFAULT_ENUMERATION_LIMIT)
-    if not env.strip().isdecimal() or int(env) < 1:
+    if (limit := int_from_string(env) or 0) < 1:
         raise ValueError(f"STOPSET_MAX_N={env!r} is not a positive integer")
-    return int(env)
+    return limit
 
 
 def _enumeration_refusal(name: str, bits: int) -> Optional[str]:
@@ -151,7 +164,7 @@ class LinearCode:
 
     def contains(self, word: int) -> bool:
         """Codeword membership: word satisfies every parity check."""
-        return all((row & word).bit_count() % 2 == 0 for row in self.parity_basis.rows)
+        return not syndrome(self.parity_basis, word)
 
     def codewords(self) -> Iterator[int]:
         """All 2**k codewords (Gray-code order, starts at zero)."""
@@ -253,9 +266,7 @@ def hamming_7_4() -> LinearCode:
 
 def _h14_matrix() -> BitMatrix:
     """H_14: the fourteen weight-4 words of rm_8_4_4's dual, ascending."""
-    code = rm_8_4_4()
-    words = sorted(w for w in row_space_iter(code.parity_basis) if w.bit_count() == 4)
-    return BitMatrix(tuple(words), 8)
+    return BitMatrix(tuple(w for w in _dual_words(rm_8_4_4()) if w.bit_count() == 4), 8)
 
 
 # every catalog name without a parameter, code or matrix
@@ -279,12 +290,13 @@ def catalog(name: str) -> LinearCode | BitMatrix:
     Codes: ``repetition(n)``, ``full(n)``, ``zero(n)``, ``rm_8_4_4``,
     ``hamming_7_4``.  Matrices: ``H_4``, ``H_5``, ``H_8``, ``H_14``.
     A name without a parameter is a key of one table; ``name(n)`` is
-    a function of _PARAM_CODES applied to n.
+    a function of _PARAM_CODES applied to n, an optional '-' and ASCII
+    digits.
     """
     name = name.strip()
     if name in _NAMED:
         return _NAMED[name]()
-    m = re.fullmatch(r"(\w+)\((\d+)\)", name)
-    if m and m[1] in _PARAM_CODES:
-        return _PARAM_CODES[m[1]](int(m[2]))
+    m = re.fullmatch(r"(\w+)\((.*)\)", name)
+    if m and m[1] in _PARAM_CODES and (n := int_from_string(m[2])) is not None:
+        return _PARAM_CODES[m[1]](n)
     raise UnknownCatalogName(f"unknown catalog name {name!r}")

@@ -14,9 +14,9 @@ descends to it when the covered sets joined with the suffix union
 the last row is a scan rather than a descent.  Both only drop failing
 subsets, so the walk returns the first full-rank passing subset, as a
 plain scan would.
-Every dual-word listing is capped by gf2.ROW_SPACE_RANK_LIMIT on n-k,
-and the search also by SEARCH_MAX_DUAL_WORDS, checked from n-k before
-anything is listed.
+The dual words come from codes._dual_words, which is capped by
+gf2.ROW_SPACE_RANK_LIMIT on n-k; the search is also capped by
+SEARCH_MAX_DUAL_WORDS, checked from n-k before anything is listed.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .codes import LinearCode, _span_blocks
+from .codes import LinearCode, _dual_words
 from .gf2 import (
     BitMatrix,
-    _check_row_space_rank,
     indices_from_mask,
     null_space_basis,
     permute_columns,
     rank,
-    select_columns,
     solve,
+    syndrome,
     transpose,
 )
 from .stopsets import _incorrigible_flags, _optimal_flags, _unpack
@@ -46,12 +45,6 @@ from .stopsets import _incorrigible_flags, _optimal_flags, _unpack
 from .stopsets import incorrigible_enumerator, optimal_enumerators  # noqa: F401
 
 SEARCH_MAX_DUAL_WORDS = 20
-
-
-def _dual_words(code: LinearCode) -> list[int]:
-    """All 2**(n-k) dual codewords, ascending as integers (zero first)."""
-    _check_row_space_rank(code.n - code.k)
-    return np.sort(np.concatenate(list(_span_blocks(code.parity_basis.rows)))).tolist()
 
 
 def complete_matrix(code: LinearCode) -> BitMatrix:
@@ -108,26 +101,16 @@ def bad_matrix(code: LinearCode) -> tuple[BitMatrix, tuple[int, ...]]:
     support = min((w for w in code.codewords() if w.bit_count() == d), key=indices_from_mask)
     perm = indices_from_mask(support) + indices_from_mask(~support & ((1 << code.n) - 1))
 
-    hp = permute_columns(code.parity_basis, perm)
-    first_d = select_columns(hp, range(1, d + 1))  # (n-k) x d
-    t = transpose(first_d)  # d x (n-k); a . first_d = g  <=>  t . a^T = g^T
+    # the columns of the permuted parity basis H'; a . H' = syndrome(columns, a)
+    columns = transpose(permute_columns(code.parity_basis, perm))
+    t = BitMatrix(columns.rows[:d], columns.n)  # d x (n-k); a . H' starts with g  <=>  t . a^T = g^T
 
-    def dual_word(coeffs: int) -> int:
-        w = 0
-        for i, row in enumerate(hp.rows):
-            if (coeffs >> i) & 1:
-                w ^= row
-        return w
-
-    top = []
-    for g in _gadget_rows(d):
-        a = solve(t, g)
-        if a is None:  # impossible: the restriction space is the even-weight space
-            raise AssertionError("gadget row not realizable as a dual restriction")
-        top.append(dual_word(a))
-    bottom = [dual_word(a) for a in null_space_basis(t).rows]
-
-    h = BitMatrix(tuple(top + bottom), code.n)
+    # the gadget rows on top, then a basis of the dual words zero on the first d
+    coeffs = [solve(t, g) for g in _gadget_rows(d)]
+    if None in coeffs:  # impossible: the restriction space is the even-weight space
+        raise AssertionError("gadget row not realizable as a dual restriction")
+    coeffs += null_space_basis(t).rows
+    h = BitMatrix(tuple(syndrome(columns, a) for a in coeffs), code.n)
     if rank(h) != code.n - code.k:
         raise AssertionError("constructed matrix lost rank")
     return h, perm

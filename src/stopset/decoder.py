@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .codes import LinearCode
-from .gf2 import (BitMatrix, as_mask, indices_from_mask, rank, rref, select_columns, solve,
+from .gf2 import (BitMatrix, as_mask, indices_from_mask, rank, rref, select_columns, solve, syndrome,
                   vector_from_string, vector_to_string)
 from .stopsets import is_incorrigible, peel_closure
 
@@ -124,12 +124,8 @@ def optimal_decode(code: LinearCode, received: ReceivedWord) -> DecodeOutcome:
     if received.n != code.n:
         raise ValueError("received word length does not match code")
     h = code.parity_basis
-    syndrome = 0
-    for i, row in enumerate(h.rows):
-        if (row & received.values).bit_count() % 2:
-            syndrome |= 1 << i
     erased_cols = select_columns(h, received.erasures)
-    particular = solve(erased_cols, syndrome)
+    particular = solve(erased_cols, syndrome(h, received.values))
     if particular is None:
         raise ChannelModelViolation("known positions match no codeword")
     if rank(erased_cols) < erased_cols.n:

@@ -5,15 +5,19 @@ so the word 10100000 of length 8 is the int 0b101 = 5.  Matrices are
 immutable tuples of such row words plus an explicit column count.
 Everything here is a pure function; values are safe to share across
 threads.  solve returns one particular solution or None; the solution
-set is that vector plus the span of null_space_basis.  transpose is the
-one routine that moves bits between rows and columns: select_columns
-and permute_columns pick rows of the transpose and transpose back, so
-they, like transpose, take matrices of at most MAX_BITS rows.
+set is that vector plus the span of null_space_basis.  syndrome is the
+one matrix-vector product, M v^T as a word of row parities; a . M, the
+XOR of the rows a selects, is syndrome(transpose(M), a).  transpose is
+the one routine that moves bits between rows and columns:
+select_columns and permute_columns pick rows of the transpose and
+transpose back, so they, like transpose, take matrices of at most
+MAX_BITS rows.  int_from_string, next to the 0/1 vector codec, is the
+one reader of integers a user types.
 
 Two size caps live here: MAX_BITS bounds both matrix dimensions, and
 ROW_SPACE_RANK_LIMIT bounds every row space listed in full as Python
 ints, 2**rank of them (row_space_iter here, the dual words of
-construct).  _check_row_space_rank refuses before any listing starts.
+codes).  _check_row_space_rank refuses before any listing starts.
 """
 
 from __future__ import annotations
@@ -71,6 +75,16 @@ def vector_to_string(v: int, n: int) -> str:
     return format(v & ((1 << n) - 1), f"0{n}b")[::-1] if n > 0 else ""
 
 
+def int_from_string(s: str) -> Optional[int]:
+    """The integer an optional '-' and ASCII digits spell; None for any other string.
+
+    The one reader of integers typed by a user: unlike int, it refuses
+    padding, '+', '_' and digits of other scripts.
+    """
+    digits = s.removeprefix("-")
+    return int(s) if digits.isascii() and digits.isdigit() else None
+
+
 def _check_column_count(n: int) -> None:
     """Refuse a column count outside 0..MAX_BITS."""
     if not 0 <= n <= MAX_BITS:
@@ -109,7 +123,8 @@ class BitMatrix:
 def parse_matrix(text: str) -> BitMatrix:
     """Parse the repo matrix text format.
 
-    Format: optional header line ``n r``, then r lines of exactly n
+    Format: optional header line ``n r``, two integers as
+    int_from_string reads them, then r lines of exactly n
     characters from {0,1}.  Lines starting with ``#`` are comments.
     Ragged rows are rejected.
     """
@@ -120,8 +135,9 @@ def parse_matrix(text: str) -> BitMatrix:
     n: Optional[int] = None
     expect_rows: Optional[int] = None
     first = lines[0].split()
-    if len(first) == 2 and all(tok.isdigit() for tok in first):
-        n, expect_rows = int(first[0]), int(first[1])
+    if len(first) == 2 and None not in (header := [int_from_string(tok) for tok in first]):
+        n, expect_rows = header
+        _check_column_count(n)  # refused as a column count, not as ragged rows
         lines = lines[1:]
     rows = []
     for ln in lines:
@@ -236,6 +252,14 @@ def transpose(m: BitMatrix) -> BitMatrix:
                 packed |= 1 << i
         rows.append(packed)
     return BitMatrix(tuple(rows), m.r)
+
+
+def syndrome(m: BitMatrix, v: int) -> int:
+    """M v^T as a word: bit i is the parity of row i of M on v.
+
+    syndrome(transpose(m), a) is a . M, the XOR of the rows of M that a selects.
+    """
+    return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(m.rows))
 
 
 def solve(m: BitMatrix, b: int) -> Optional[int]:

@@ -308,18 +308,18 @@ def _stopping_flags(h: BitMatrix) -> np.ndarray:
     return flags
 
 
-def _dead_end(stop_flags: np.ndarray, n: int) -> Enumerator:
-    """D(x) from stopping flags: sets holding a nonempty stopping set.
-
-    Overwrites the flags with their closure.
-    """
-    stop_flags[0] &= ~np.uint64(1)  # the empty set
-    return _histogram(_upward_closure(stop_flags, range(n)), n)
-
-
 def _profile(stop_flags: np.ndarray, n: int) -> StoppingProfile:
+    """S(x), D(x) and s from the stopping flags of a matrix.
+
+    Overwrites the flags with the dead-end flags, the sets holding a
+    nonempty stopping set: the empty set's flag is cleared and the rest
+    closed upward.  monte_carlo reads its dead-end failures from the
+    array afterwards.
+    """
     s_poly = _histogram(stop_flags, n)
-    return StoppingProfile(s_poly, _dead_end(stop_flags, n), _first_nonempty(s_poly))
+    stop_flags[0] &= ~np.uint64(1)  # the empty set
+    d_poly = _histogram(_upward_closure(stop_flags, range(n)), n)
+    return StoppingProfile(s_poly, d_poly, _first_nonempty(s_poly))
 
 
 def stopping_set_enumerator(h: BitMatrix) -> Enumerator:
@@ -332,9 +332,10 @@ def dead_end_enumerator(h: BitMatrix) -> Enumerator:
 
     The peel closure of a set is the largest stopping set inside it, so
     the dead-end sets are the upward closure of the nonempty stopping
-    sets: one OR-zeta pass over the stopping flags, no peeling.
+    sets: one OR-zeta pass over the stopping flags, no peeling.  It is
+    profile's D(x), at the cost of one more histogram, for S(x).
     """
-    return _dead_end(_stopping_flags(h), h.n)
+    return profile(h).dead_end
 
 
 def _support_flags(code: LinearCode) -> np.ndarray:

@@ -263,7 +263,7 @@ def test_construct_search_above_enumeration_guard(capsys, tmp_path, monkeypatch)
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", "\u0663\u0660", " 30", "+30", "3_0"])
 @pytest.mark.parametrize("command", [
     ["enumerate", "--matrix", "H_8"],
     ["simulate", "--code", "rm_8_4_4", "--matrix", "H_8", "--epsilon", "0.3", "--trials", "10", "--seed", "1"],
@@ -393,12 +393,49 @@ def test_unknown_spec_is_input_error(capsys, flag):
     ("repetition(0)", "repetition length must be >= 1"),
     ("repetition(65)", "column count 65 outside 0..64"),
     ("full(70)", "column count 70 outside 0..64"),
+    ("repetition(-1)", "repetition length must be >= 1"),
 ])
 def test_catalog_range_error_keeps_its_message(capsys, flag, spec, message):
     code = main(["enumerate", flag, spec])
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "neither a readable file" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a repeated option is converted each time, so the bad value is refused
+    (_SIMULATE_RM + ["--trials", "\u0661_\u0660\u0660", "--seed", " 7"],
+     "argument --trials: invalid int value: '\u0661_\u0660\u0660'"),
+    (_SIMULATE_RM + ["--seed", " 7"], "argument --seed: invalid int value: ' 7'"),
+    (["construct", "low-weight", "--code", "rm_8_4_4", "--weight", "+5"], "argument --weight: invalid int value: '+5'"),
+    (["construct", "search", "--code", "rm_8_4_4", "--max-rows", "\u0663"],
+     "argument --max-rows: invalid int value: '\u0663'"),
+    (["bounds", "--n", "1_0", "--k", "3"], "argument --n: invalid int value: '1_0'"),
+    (["bounds", "--n", "10", "--k", "\uff13"], "argument --k: invalid int value: '\uff13'"),
+    (["bounds", "--n", "10", "--k", "3", "--d", "\u00b2"], "argument --d: invalid int value: '\u00b2'"),
+    (["bounds", "--n", "10", "--k", "3", "--m", "2 "], "argument --m: invalid int value: '2 '"),
+    (["enumerate", "--code", "repetition(\u0663)"], "'repetition(\u0663)' is neither a readable file nor a catalog name"),
+    (["enumerate", "--matrix", "full(\uff10\uff13)"], "'full(\uff10\uff13)' is neither a readable file nor a catalog name"),
+])
+def test_typed_integers_are_a_sign_and_ascii_digits(capsys, argv, message):
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("header", ["\u0663 1", "\u00b2 1"])
+def test_matrix_header_digits_are_ascii(capsys, tmp_path, header):
+    # not a header, so the line is read as a row and refused by its first character
+    path = tmp_path / "h.txt"
+    path.write_text(f"{header}\n101\n", encoding="utf-8")
+    status = main(["enumerate", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: invalid character {header[0]!r} in vector string\n"
 
 
 _UNDER_ADDRESS_LIMIT = """

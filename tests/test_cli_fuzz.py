@@ -55,8 +55,11 @@ MALFORMED = [
     "1" * 65 + "\n", "10" * 40 + "\n", "1 0 1\n", "abc\n", "2 x\n11\n",
 ]
 EPSILONS = ["0", "1", "nan", "inf", "-inf", "1e-400", "-0.1", "1.5", "x", "0.3", "0.05", "0.5", "0.9", "1e-3"]
-TRIALS = ["1", "2", "100", "1000", "5000", "0", "-3", "1e3", "x"]
-SEEDS = ["0", "7", "-1", str(2**128), str(2**128 - 1), str(-(2**128)), "1.5"]
+# what int() would read but the CLI refuses: another script's digit, '_', padding and '+'
+NOT_ASCII_INTEGERS = ["\u0661", "1_0", " 7", "+5"]
+TRIALS = ["1", "2", "100", "1000", "5000", "0", "-3", "1e3", "x", *NOT_ASCII_INTEGERS]
+BOUNDS_VALUES = ["-1", "0", "1", "2", "3", "8", "30", "200", "20000", "x", *NOT_ASCII_INTEGERS]
+SEEDS = ["0", "7", "-1", str(2**128), str(2**128 - 1), str(-(2**128)), "1.5", *NOT_ASCII_INTEGERS]
 
 
 def _specs(rng, tmp_path):
@@ -130,17 +133,17 @@ def _argv(rng, specs):
     elif command == "construct":
         argv += [rng.choice(["complete", "low-weight", "bad", "search", "nope"]), "--code", rng.choice(small)[0]]
         if rng.randrange(3) == 0:
-            argv += ["--weight", rng.choice(["-1", "0", "1", "3", "100", "x"])]
+            argv += ["--weight", rng.choice(["-1", "0", "1", "3", "100", "x", *NOT_ASCII_INTEGERS])]
         if rng.randrange(2):
             argv += ["--predicate", rng.choice([*PREDICATES, "S=D"])]
         if rng.randrange(2):
-            argv += ["--max-rows", rng.choice(["-1", "0", "1", "2", "4", "x"])]
+            argv += ["--max-rows", rng.choice(["-1", "0", "1", "2", "4", "x", *NOT_ASCII_INTEGERS])]
     elif command == "bounds":
         for flag in ("--n", "--k"):
-            argv += [flag, rng.choice(["-1", "0", "1", "2", "3", "8", "30", "200", "20000", "x"])]
+            argv += [flag, rng.choice(BOUNDS_VALUES)]
         for flag in ("--d", "--m"):
             if rng.randrange(2):
-                argv += [flag, rng.choice(["-1", "0", "1", "2", "3", "8", "30", "200", "20000", "x"])]
+                argv += [flag, rng.choice(BOUNDS_VALUES)]
     if rng.randrange(2):
         argv.append("--pretty")
     return argv

@@ -167,10 +167,20 @@ def test_catalog_matrices():
 
 
 def test_catalog_unknown():
-    for name in ("golay_23_12", "repetition(x)", "H_6", "foo(3)"):
+    # a parameter is an optional '-' and ASCII digits: no other script, padding, '+' or '_'
+    for name in ("golay_23_12", "repetition(x)", "H_6", "foo(3)", "repetition(\u0663)", "full(\uff10\uff13)",
+                 "zero(+3)", "repetition( 3)", "repetition(1_0)", "repetition()", "repetition(--1)"):
         with pytest.raises(UnknownCatalogName) as exc:
             catalog(name)
         assert str(exc.value) == f"unknown catalog name {name!r}"
+
+
+def test_contains_agrees_with_codewords():
+    rng = random.Random(41)
+    for _ in range(40):
+        code = random_code(rng, rng.randrange(1, 10), rng.randrange(0, 7))
+        words = set(code.codewords())
+        assert [code.contains(w) for w in range(1 << code.n)] == [w in words for w in range(1 << code.n)]
 
 
 def test_enumerator_rendering():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -27,7 +28,7 @@ from stopset.stopsets import (
     stopping_set_enumerator,
 )
 
-from conftest import random_code_where
+from conftest import extended_hamming, random_code_where
 
 RM = rm_8_4_4()
 
@@ -132,6 +133,29 @@ def test_bad_matrix_deterministic():
     assert h1.rows == h2.rows and p1 == p2
 
 
+# sha256 of repr((rows, n, permutation)) of bad_matrix, first 16 hex digits, as
+# computed when each dual word a . H' was a loop XORing the rows that a selects:
+# 24 seeded codes with n = 8..16 and d >= 4, then the [16,11,4] extended Hamming code
+BAD_MATRIX_DIGESTS = [
+    "f11b3abb3f567777", "5e4d55b75ea25949", "4e753d2b220ac94d", "422ec4b8f8ff5717", "69034d7b48850d93",
+    "d6a17fa0bd1c6491", "e50878010a2fe3ba", "f5b285ef64adfd70", "7de20f19a10db80a", "84aafa6a57c087ff",
+    "034ea483bae6f826", "525cdde4a9ecd90f", "74d81494f7a349df", "b5c271c32308cef2", "4675bdf46f57baa8",
+    "6cbed441f1c84ba9", "c3332c120ab4f4c0", "d7e81fc5e094aa66", "531ebcc6951499c5", "2e5d375a1f55dee0",
+    "2aa6b50f9c9408de", "b800beb5d30aa62e", "5186778bd3c35ad2", "dce7a53cbfa6796e", "c29f385cc580b0d6",
+]
+
+
+def test_bad_matrix_rows_and_permutations_are_pinned():
+    rng = random.Random(29)
+    codes = [random_code_where(rng, range(8, 17), range(4, 10), lambda c: c.k > 0 and c.minimum_distance >= 4)
+             for _ in range(24)]
+    digests = []
+    for code in [*codes, extended_hamming(4)]:
+        h, perm = bad_matrix(code)
+        digests.append(hashlib.sha256(repr((h.rows, h.n, perm)).encode()).hexdigest()[:16])
+    assert digests == BAD_MATRIX_DIGESTS
+
+
 def test_minimal_search_rm_stopping_optimal():
     h = minimal_matrix_search(RM, "S=S*")
     assert h is not None and h.r == 14
@@ -223,7 +247,7 @@ def test_minimal_search_refuses_before_listing_dual_words(monkeypatch):
     def listed(rows):
         raise AssertionError("dual words listed before the search guard")
 
-    monkeypatch.setattr("stopset.construct._span_blocks", listed)
+    monkeypatch.setattr("stopset.codes._span_blocks", listed)
     code = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(5)), 10))
     with pytest.raises(ValueError, match="31 nonzero dual words exceed search guard 20"):
         minimal_matrix_search(code, "D=I")

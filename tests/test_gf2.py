@@ -1,13 +1,17 @@
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopset.codes import catalog, repetition
 from stopset.gf2 import (
     BitMatrix,
     format_matrix,
     indices_from_mask,
+    int_from_string,
     mask_from_indices,
     null_space_basis,
     parse_matrix,
@@ -17,6 +21,7 @@ from stopset.gf2 import (
     rref,
     select_columns,
     solve,
+    syndrome,
     transpose,
     vector_from_string,
     vector_to_string,
@@ -102,6 +107,34 @@ def test_vector_from_string_refuses_what_int_would_accept(s):
     with pytest.raises(ValueError, match="invalid character .* in vector string") as new:
         vector_from_string(s)
     assert str(new.value) == str(exc.value)  # names the first bad character
+
+
+@pytest.mark.parametrize("s, value", [("0", 0), ("7", 7), ("-1", -1), ("-0", 0), ("007", 7), ("10" * 20, int("10" * 20))])
+def test_int_from_string_reads_a_sign_and_ascii_digits(s, value):
+    assert int_from_string(s) == value
+
+
+# each of these int() would accept, or reject with Python's own message
+@pytest.mark.parametrize("s", ["", "-", "--1", "+5", " 7", "7 ", "1_0", "\u0661", "\u0663\u0660", "\uff10\uff13",
+                               "\u00b2", "1.0", "0x1", "1e3", "\n1"])
+def test_int_from_string_refuses_everything_else(s):
+    assert int_from_string(s) is None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_syndrome_is_the_row_parities_and_transposed_a_row_combination(r, n, seed):
+    rng = random.Random(seed)
+    m = random_parity_matrix(rng, n, r)
+    v, a = rng.randrange(1 << n), rng.randrange(1 << r)
+    s = syndrome(m, v)
+    assert s >> r == 0
+    assert [s >> i & 1 for i in range(r)] == [(row & v).bit_count() % 2 for row in m.rows]
+    selected = 0
+    for i, row in enumerate(m.rows):
+        if a >> i & 1:
+            selected ^= row
+    assert syndrome(transpose(m), a) == selected
 
 
 def test_select_columns_h8():
@@ -254,6 +287,19 @@ def test_matrix_text_comments_and_errors():
         parse_matrix("10102010\n")
     with pytest.raises(ValueError):
         parse_matrix("")
+
+
+@pytest.mark.parametrize("header", ["\u0663 1", "\u00b2 1", "+3 1", "3 \uff11", "3_0 1"])
+def test_matrix_header_is_two_ascii_integers(header):
+    # not a header, so the line is read as a row and refused by its first character
+    with pytest.raises(ValueError, match=re.escape(f"invalid character {header[0]!r} in vector string")):
+        parse_matrix(f"{header}\n101\n")
+
+
+@pytest.mark.parametrize("header", ["-1 1", "65 1", "99999999999 1"])
+def test_matrix_header_column_count_is_checked_first(header):
+    with pytest.raises(ValueError, match=re.escape(f"column count {header.split()[0]} outside 0..64")):
+        parse_matrix(f"{header}\n101\n")
 
 
 def test_matrix_validation():

@@ -306,6 +306,7 @@ def test_incorrigible_sets_are_dead_end_sets(drawn, extra_rows):
     h = random_dual_spanning_matrix(rng, code, extra_rows)
     dead_end = _stopping_flags(h)
     _profile(dead_end, code.n)  # closes the stopping flags into the dead-end flags
+    assert _histogram(dead_end, code.n) == dead_end_enumerator(h) == profile(h).dead_end
     incorrigible = _unpack(_incorrigible_flags(code), code.n)
     assert not (incorrigible & ~_unpack(dead_end, code.n)).any()
 
