@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -37,9 +38,8 @@ def _read(spec: str) -> LinearCode | BitMatrix:
     A catalog entry with a bad parameter, such as ``repetition(0)``,
     keeps the catalog's own message.
     """
-    path = Path(spec)
-    if path.is_file():
-        return parse_matrix(path.read_text())
+    if os.path.isfile(spec):  # False, not an OSError, for a spec too long to be a file name
+        return parse_matrix(Path(spec).read_text())
     try:
         return catalog(spec)
     except UnknownCatalogName:

@@ -4,16 +4,12 @@ Covers the complete (all dual codewords) matrix, low-weight dual-row
 matrices, the adversarial construction that forces stopping distance 3,
 the exact minimal-matrix search over dual-row subsets, and the known
 closed-form bounds on the rows needed for optimal iterative decoding.
-The search is a depth-first walk over row subsets in lexicographic
-order on Python-int bitsets over the forbidden subsets.  It starts at
-the forced-row bound: a forbidden subset that only one dual word covers
-puts that word in every passing subset, so no subset with fewer rows
-than there are such words can pass.  A row is skipped before the walk
-descends to it when the covered sets joined with the suffix union
-(every set a later row can still cover) miss a forbidden subset, and
-the last row is a scan rather than a descent.  Both only drop failing
-subsets, so the walk returns the first full-rank passing subset, as a
-plain scan would.
+The search needs no walk over row subsets: each forbidden subset has a
+covering set, the dual words that meet it exactly once, and a candidate
+passes iff the words it leaves out hold no covering set.  One upward
+closure over the subsets of the dual words flags every failing
+candidate, and the passing ones are ranked in search order until one
+spans the dual.
 The dual words come from codes._dual_words, which is capped by
 gf2.ROW_SPACE_RANK_LIMIT on n-k; the search is also capped by
 SEARCH_MAX_DUAL_WORDS, checked from n-k before anything is listed.
@@ -29,7 +25,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .codes import LinearCode, _dual_words
+from .codes import LinearCode, _dual_words, _enumeration_refusal
 from .gf2 import (
     BitMatrix,
     indices_from_mask,
@@ -40,7 +36,7 @@ from .gf2 import (
     syndrome,
     transpose,
 )
-from .stopsets import _incorrigible_flags, _optimal_flags, _unpack
+from .stopsets import _by_popcount, _incorrigible_flags, _pack_subsets, _unpack, _upward_closure
 # unused here, but perfbench/tracing.py wraps both names in this module
 from .stopsets import incorrigible_enumerator, optimal_enumerators  # noqa: F401
 
@@ -131,48 +127,37 @@ def minimal_matrix_search(
     count, then lexicographically on the sorted row list, so the result
     is deterministic.
 
-    Each predicate is a set of forbidden subsets that the candidate must
-    leave non-stopping: for "s=d" the sets of size 1..d-1, for "S=S*"
+    A predicate holds iff no forbidden set is stopping for the
+    candidate: for "s=d" the nonempty sets of size below d, for "S=S*"
     the sets that are not S* sets, for "D=I" the nonempty sets that are
-    not incorrigible.  Every candidate row is a dual codeword, so every
-    S* set is a stopping set of the candidate and every incorrigible set
-    a dead-end set of it; the predicate therefore holds exactly when no
-    forbidden set is stopping (a dead-end set outside I holds a nonempty
-    stopping set, which is outside I too).  The S* and I flags come from
-    the enumerator kernels, and the sets below size d are the small sets
-    outside I, so the search shares their enumeration guard (n <= 28 by
-    default).  A candidate passes iff every forbidden set meets one of
-    its rows exactly once (is covered).
+    not incorrigible.  (Every row is a dual word, so every S* set is
+    stopping and every incorrigible set dead-end for every candidate,
+    and a dead-end set outside I holds a nonempty stopping set, which is
+    outside I too.)  A set is non-stopping iff a row meets it exactly
+    once; the dual words that do are the set's covering set.  The sets
+    no dual word covers are the S* sets, by definition, the empty set
+    among them, and no forbidden set is one: a nonempty set f of size
+    below d, or outside I, holds no nonzero codeword, so the dual words
+    restricted to f give every vector on f, a unit vector among them.
+    So the search reads all sets below size d, all sets, or all sets
+    outside I, and drops the uncovered ones; that removes the S* sets
+    for "S=S*" and only the empty set otherwise.  Every set left has a
+    covering word, so no forbidden set makes every candidate fail.
 
-    Each dual word's covered sets are one Python int with a bit per
-    forbidden set (hits), and alive[s] is the OR of those ints from index
-    s on.  Row counts start at max(n-k, forced).  A forbidden set that
-    only one dual word covers is covered by that word or not at all, so
-    every passing candidate holds the word.  One pass over hits
-    (twice |= seen & h; seen |= h) finds the sets that two or more words
-    cover; every other set has exactly one covering word, since
-    alive[0] == full, and forced counts the words that cover one.  No
-    candidate with fewer rows passes, so the skipped row counts would
-    have called rank on nothing.
-
-    For each row count r the search is a depth-first walk that appends
-    dual-word indices in increasing order, so it reaches the r-subsets
-    in the same lexicographic order as a plain scan.  The walk carries
-    the covered sets of the prefix down as one OR per step.  Before it
-    descends to index i it forms c = covered | hits[i] and skips i iff
-    c | alive[i+1] misses a forbidden set: that set is covered by no row
-    of the prefix plus i and by no row the subtree may add.  No leaf
-    below i can pass, so skipping i drops only failing leaves, and the
-    passing ones are still reached in lexicographic order.  With one row
-    left the walk does not descend: it scans i upward from the next
-    free index and tests in place whether hits[i] covers every set the
-    prefix misses, which visits the same leaves in the same order.  Each
-    node costs a few int operations and no numpy call.  The GF(2) rank
-    runs only on passing leaves, in that order; it is needed because a
-    passing candidate may be rank-deficient (for "s=d" this happens:
-    its rows can cover every small set without spanning the dual).
-    The 2**(n-k) - 1 nonzero dual words are counted against
-    SEARCH_MAX_DUAL_WORDS before any of them is listed.
+    With the m nonzero dual words as bits, word i at bit m-1-i, a
+    candidate fails iff the words it leaves out hold a covering set, so
+    the failing candidates are the upward closure of the covering sets
+    over the 2**m words.  The forbidden sets are read in pieces of at
+    most 2**12, the "D=I" ones from the packed incorrigible flags, and
+    the guard on n (n <= 28 by default) refuses every predicate, as the
+    enumerators do.  For r rows the left-out words have m-r bits, and
+    ascending left-out words give the r-subsets in lexicographic order.
+    The GF(2) rank runs only on passing candidates, in that order, from
+    n-k rows on; it is needed because a passing candidate may be
+    rank-deficient (for "s=d" this happens: its rows can cover every
+    small set without spanning the dual).  The 2**(n-k) - 1 nonzero dual
+    words are counted against SEARCH_MAX_DUAL_WORDS before any of them
+    is listed.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"predicate must be one of {PREDICATES}")
@@ -180,58 +165,36 @@ def minimal_matrix_search(
         raise ValueError(f"max_rows must be >= 0, got {max_rows}")
     if (nonzero := (1 << (code.n - code.k)) - 1) > SEARCH_MAX_DUAL_WORDS:
         raise ValueError(f"{nonzero} nonzero dual words exceed search guard {SEARCH_MAX_DUAL_WORDS}")
+    if refusal := _enumeration_refusal("n", code.n):
+        raise ValueError(refusal)
     duals = _dual_words(code)[1:]
 
-    n = code.n
-    need_rank = code.n - code.k
-    if predicate == "S=S*":
-        forbidden = np.flatnonzero(~_unpack(_optimal_flags(code)[0], n))
-    else:
-        forbidden = np.flatnonzero(~_unpack(_incorrigible_flags(code), n))[1:]  # [0] is the empty set
+    n, m = code.n, len(duals)
+    piece = min(n, 12)
+    low = np.arange(1 << piece, dtype=np.uint64)  # piece q holds the sets q * low.size + low
+    lows = np.bitwise_count(np.array(duals, np.uint64)[:, None] & low)  # [i, b]: |duals[i] & b|
+    bits = np.arange(m - 1, -1, -1, dtype=np.uint16)[:, None]  # word i at bit m-1-i
+    incorrigible = _incorrigible_flags(code) if predicate == "D=I" else None
+    covering = np.zeros(1 << m, bool)  # [c]: c is a forbidden set's covering set
+    for start in range(0, 1 << n, low.size):
+        highs = np.array([(start & w).bit_count() for w in duals], np.uint8)[:, None]  # [i]: |duals[i] & start|
+        covers = np.bitwise_or.reduce((lows + highs == 1) << bits, axis=0)  # [b]: the covering set of start + b
         if predicate == "s=d":
-            forbidden = forbidden[np.bitwise_count(forbidden) < code.minimum_distance]
-    # bit f of hits[i]: dual word i meets forbidden set f exactly once;
-    # alive[s]: the union of hits[s:], the sets a row at index >= s can cover
-    packed = (np.packbits(np.bitwise_count(forbidden & w) == 1, bitorder="little") for w in duals)
-    hits = [int.from_bytes(p, "little") for p in packed]
-    alive = [0] * (len(duals) + 1)
-    for s in reversed(range(len(duals))):
-        alive[s] = hits[s] | alive[s + 1]
-    full = (1 << forbidden.size) - 1
-    if alive[0] != full:  # some forbidden set meets no dual word exactly once
-        return None
-    # twice: the sets that two or more words cover; each other set has one
-    # covering word, which every passing candidate holds
-    seen = twice = 0
-    for h in hits:
-        twice |= seen & h
-        seen |= h
-    forced = sum(1 for h in hits if h & ~twice)
+            covers = covers[np.bitwise_count(low) + start.bit_count() < code.minimum_distance]
+        elif predicate == "D=I":
+            covers = covers[~_unpack(incorrigible, piece, start)]
+        covering[covers] = True
+    covering[0] = False  # the uncovered sets: the empty set and the S* sets
+    failing = _unpack(_upward_closure(_pack_subsets(covering), range(m)), m)
 
-    def ranked(rows: tuple[int, ...]) -> Optional[BitMatrix]:
-        h = BitMatrix(rows, n)
-        return h if rank(h) == need_rank else None
-
-    def first_leaf(r: int, prefix: tuple[int, ...], start: int, covered: int) -> Optional[BitMatrix]:
-        # callers keep covered | alive[start] == full
-        if len(prefix) < r - 1:
-            for i in range(start, len(duals) - (r - len(prefix)) + 1):
-                c = covered | hits[i]
-                if c | alive[i + 1] == full and (h := first_leaf(r, prefix + (duals[i],), i + 1, c)) is not None:
-                    return h
-            return None
-        missing = full & ~covered
-        for i in range(start, len(duals)):
-            if hits[i] & missing == missing and (h := ranked(prefix + (duals[i],))) is not None:
+    order, starts = _by_popcount(m)
+    limit = m if max_rows is None else min(max_rows, m)
+    for r in range(n - code.k, limit + 1):
+        left_out = order[starts[m - r] :][: math.comb(m, r)]  # the words with m-r bits, ascending
+        for left in left_out[~failing[left_out]].tolist():
+            h = BitMatrix(tuple(w for i, w in enumerate(duals) if not left >> (m - 1 - i) & 1), n)
+            if rank(h) == n - code.k:
                 return h
-        return None
-
-    if need_rank == 0:  # the full code: no dual words, so nothing is forbidden
-        return ranked(())
-    limit = len(duals) if max_rows is None else min(max_rows, len(duals))
-    for r in range(max(need_rank, forced), limit + 1):
-        if (h := first_leaf(r, (), 0, 0)) is not None:
-            return h
     return None
 
 

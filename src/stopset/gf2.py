@@ -23,6 +23,7 @@ codes).  _check_row_space_rank refuses before any listing starts.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -79,10 +80,14 @@ def int_from_string(s: str) -> Optional[int]:
     """The integer an optional '-' and ASCII digits spell; None for any other string.
 
     The one reader of integers typed by a user: unlike int, it refuses
-    padding, '+', '_' and digits of other scripts.
+    padding, '+', '_' and digits of other scripts, and it returns None
+    where int would raise, past sys.get_int_max_str_digits() digits
+    (0 means no limit).
     """
     digits = s.removeprefix("-")
-    return int(s) if digits.isascii() and digits.isdigit() else None
+    if not (digits.isascii() and digits.isdigit()) or 0 < sys.get_int_max_str_digits() < len(digits):
+        return None
+    return int(s)
 
 
 def _check_column_count(n: int) -> None:

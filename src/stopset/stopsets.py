@@ -6,7 +6,9 @@ enumerators count sets over the 2**n erasure subsets with one kernel on
 packed bits: word q of a flag array holds subsets 64q..64q+63, the low
 six coordinates indexing the bit and the rest the word.  Only this
 module knows that layout; other modules pass flag arrays back to its
-functions (_count_flagged, _unpack, _histogram) and never index the words.
+functions (_count_flagged, _unpack, _histogram, _upward_closure) and never
+index the words.  construct's search packs its own flags, over the
+subsets of the dual words, with _pack_subsets.
 Flags are built a word at a time, closed upward over the subset lattice
 (an OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
@@ -92,10 +94,17 @@ def _count_flagged(masks: np.ndarray, n: int, *flag_arrays: np.ndarray) -> tuple
     return tuple(int(np.count_nonzero(flags[words] & bits)) for flags in flag_arrays)
 
 
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """Packed flags -> one bool per subset mask, 2**n of them."""
+def _unpack(words: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """Packed flags -> one bool per subset mask start..start + 2**n - 1,
+    for a start of 0 or a multiple of both 64 and 2**n."""
+    words = words[start >> 6 :][: max(1 << n >> 6, 1)]
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
     return bits[: 1 << n].view(bool)
+
+
+def _pack_subsets(bits: np.ndarray) -> np.ndarray:
+    """One bool per subset mask, 2**n of them -> packed flags; the inverse of _unpack."""
+    return _pack(np.pad(bits, (0, -bits.size % 64)).reshape(-1, 64))
 
 
 def _pair_pass(ufunc: np.ufunc, target: np.ndarray, source: np.ndarray, j: int, half: int) -> None:

@@ -263,7 +263,8 @@ def test_construct_search_above_enumeration_guard(capsys, tmp_path, monkeypatch)
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", "\u0663\u0660", " 30", "+30", "3_0"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", "\u0663\u0660", " 30", "+30", "3_0",
+                                   pytest.param("9" * 5000, id="5000-nines")])  # past int's digit limit
 @pytest.mark.parametrize("command", [
     ["enumerate", "--matrix", "H_8"],
     ["simulate", "--code", "rm_8_4_4", "--matrix", "H_8", "--epsilon", "0.3", "--trials", "10", "--seed", "1"],
@@ -381,9 +382,15 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--matrix", "--code"])
-def test_unknown_spec_is_input_error(capsys, flag):
-    code = main(["enumerate", flag, "no_such_code"])
+@pytest.mark.parametrize("flag, spec", [
+    pytest.param("--matrix", "no_such_code", id="--matrix"),
+    pytest.param("--code", "no_such_code", id="--code"),
+    # too long to be a file name: a failed stat is "not a file", not an error
+    pytest.param("--matrix", "x" * 300, id="--matrix-300-chars"),
+    pytest.param("--code", "x" * 300, id="--code-300-chars"),
+])
+def test_unknown_spec_is_input_error(capsys, flag, spec):
+    code = main(["enumerate", flag, spec])
     assert code == 2
     assert "is neither a readable file nor a catalog name" in capsys.readouterr().err
 
@@ -416,6 +423,11 @@ def test_catalog_range_error_keeps_its_message(capsys, flag, spec, message):
     (["bounds", "--n", "10", "--k", "3", "--m", "2 "], "argument --m: invalid int value: '2 '"),
     (["enumerate", "--code", "repetition(\u0663)"], "'repetition(\u0663)' is neither a readable file nor a catalog name"),
     (["enumerate", "--matrix", "full(\uff10\uff13)"], "'full(\uff10\uff13)' is neither a readable file nor a catalog name"),
+    # more digits than int reads (sys.get_int_max_str_digits())
+    pytest.param(["bounds", "--n", "9" * 5000, "--k", "1"], f"argument --n: invalid int value: '{'9' * 5000}'",
+                 id="bounds-5000-nines"),
+    pytest.param(["enumerate", "--code", f"repetition({'9' * 5000})"],
+                 f"'repetition({'9' * 5000})' is neither a readable file nor a catalog name", id="repetition-5000-nines"),
 ])
 def test_typed_integers_are_a_sign_and_ascii_digits(capsys, argv, message):
     try:

@@ -9,6 +9,7 @@ import pytest
 
 from stopset.codes import LinearCode, catalog, full_code, repetition, rm_8_4_4, zero_code
 from stopset.construct import (
+    PREDICATES,
     bad_matrix,
     binary_entropy,
     complete_matrix,
@@ -229,12 +230,14 @@ def test_minimal_search_max_rows_and_errors():
         minimal_matrix_search(big, "D=I")  # 31 nonzero dual words
 
 
-def test_minimal_search_shares_enumeration_guard(monkeypatch):
+@pytest.mark.parametrize("predicate", PREDICATES)
+def test_minimal_search_shares_enumeration_guard(monkeypatch, predicate):
+    # only "D=I" builds guarded flags; the others would scan 2**29 sets unguarded
     monkeypatch.delenv("STOPSET_MAX_N", raising=False)
     code = LinearCode.from_parity_check(BitMatrix(tuple(0x7F << (7 * i) for i in range(4)), 29))
     assert (code.n, code.k) == (29, 25)  # 15 nonzero dual words, within the search guard
     with pytest.raises(ValueError, match=re.escape("n=29 exceeds enumeration guard 28 (set STOPSET_MAX_N")):
-        minimal_matrix_search(code, "D=I")
+        minimal_matrix_search(code, predicate)
 
 
 def test_minimal_search_dual_dimension_guard():
@@ -251,6 +254,56 @@ def test_minimal_search_refuses_before_listing_dual_words(monkeypatch):
     code = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(5)), 10))
     with pytest.raises(ValueError, match="31 nonzero dual words exceed search guard 20"):
         minimal_matrix_search(code, "D=I")
+
+
+def _four_row_code(family: str, n: int) -> LinearCode:
+    """A seeded [n, n-4] code: from four random rows, or from n random
+    nonzero 4-bit columns, distinct while n <= 15."""
+    rng = random.Random(n)
+    if family == "rows":
+        return random_code_where(rng, [n], [4], lambda c: c.k == c.n - 4)
+    cols = rng.sample(range(1, 16), min(n, 15)) + rng.choices(range(1, 16), k=max(n - 15, 0))
+    return LinearCode.from_parity_check(
+        BitMatrix(tuple(sum(1 << j for j, c in enumerate(cols) if c >> i & 1) for i in range(4)), n)
+    )
+
+
+# (rows, sha256(repr(h.rows))[:16]) of each search's result, past the
+# oracle tests' n <= 12; recorded from the depth-first search that came
+# before the lattice pass
+SEARCH_PINS = {
+    "rows": {
+        13: {"s=d": (4, "b318b89782d39ace"), "S=S*": (5, "090d9977bd9bcee9"), "D=I": (4, "c9319466ac17ad37")},
+        14: {"s=d": (4, "473d954ca2c704dc"), "S=S*": (10, "7994a77416b0d204"), "D=I": (5, "18e308719dca39ac")},
+        15: {"s=d": (4, "a45d0fd5ee7b5d0f"), "S=S*": (7, "72ac72abdf242add"), "D=I": (4, "b6f313bf8d18d9bc")},
+        16: {"s=d": (4, "5ce50d82b57f1958"), "S=S*": (10, "9a617c2becf26f7e"), "D=I": (5, "bbfb105c69e62934")},
+        17: {"s=d": (4, "006226421658c38d"), "S=S*": (11, "ebe1c70ebd355f5e"), "D=I": (5, "c1f8ad2a0bfc2849")},
+        18: {"s=d": (4, "1a5c4095085d40c7"), "S=S*": (7, "38e7447e01d1b1af"), "D=I": (4, "2450937b428e2a7d")},
+        19: {"s=d": (4, "9312163ebe564d5a"), "S=S*": (14, "e63ca8a3c75be3aa"), "D=I": (6, "7845a65d5175b3e3")},
+        20: {"s=d": (4, "876b405366d45008"), "S=S*": (15, "f5ce76c33b1c3cb9"), "D=I": (7, "d078c541ee89992e")},
+    },
+    "columns": {
+        13: {"s=d": (4, "fe21b14ec46149d4"), "S=S*": (15, "25f66dc1e317ef5f"), "D=I": (7, "7dd96253e377796e")},
+        14: {"s=d": (4, "8f2a83a158263953"), "S=S*": (15, "2220c02dd2624e41"), "D=I": (7, "1ee6a1a09665470e")},
+        15: {"s=d": (4, "e09f6285637c0eec"), "S=S*": (15, "1b5c7a77d7ab7df6"), "D=I": (8, "c6938b700479503e")},
+        16: {"s=d": (4, "fc12d4bc96b4bdf7"), "S=S*": (15, "180b2fd097bb0903"), "D=I": (8, "bc0f1cb2d98d7e8e")},
+        17: {"s=d": (4, "84874bfe2441ec50"), "S=S*": (15, "9edd96d2c26a5176"), "D=I": (8, "4a7dbfd2a7134ca8")},
+        18: {"s=d": (4, "b81ef936d0642032"), "S=S*": (15, "2506e09a14084878"), "D=I": (8, "b582a97bfcfdc18f")},
+        19: {"s=d": (4, "c051e10c4a18d1e2"), "S=S*": (15, "56790e4fad08f32a"), "D=I": (8, "8a0be55135e38035")},
+        20: {"s=d": (4, "94537d6868076d2f"), "S=S*": (15, "95eb32e77d043f26"), "D=I": (8, "64860e8e05dfd7e5")},
+    },
+}
+
+
+@pytest.mark.parametrize("family", SEARCH_PINS)
+@pytest.mark.parametrize("n", range(13, 21))
+def test_minimal_search_pinned_past_the_oracle(family, n):
+    code = _four_row_code(family, n)
+    for predicate in PREDICATES:
+        rows, digest = SEARCH_PINS[family][n][predicate]
+        h = minimal_matrix_search(code, predicate)
+        assert (h.r, hashlib.sha256(repr(h.rows).encode()).hexdigest()[:16]) == (rows, digest), predicate
+        assert minimal_matrix_search(code, predicate, max_rows=rows - 1) is None, predicate
 
 
 def test_eq1_row_count_range():

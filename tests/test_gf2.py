@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_int_from_string_reads_a_sign_and_ascii_digits(s, value):
                                "\u00b2", "1.0", "0x1", "1e3", "\n1"])
 def test_int_from_string_refuses_everything_else(s):
     assert int_from_string(s) is None
+
+
+def test_int_from_string_refuses_more_digits_than_int_reads():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert int_from_string("9" * 640) == int("9" * 640)
+        assert int_from_string("9" * 641) is None and int_from_string("-" + "9" * 641) is None
+        sys.set_int_max_str_digits(0)  # no limit
+        assert int_from_string("9" * 641) == int("9" * 641)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
