@@ -4,12 +4,14 @@ Covers the complete (all dual codewords) matrix, low-weight dual-row
 matrices, the adversarial construction that forces stopping distance 3,
 the exact minimal-matrix search over dual-row subsets, and the known
 closed-form bounds on the rows needed for optimal iterative decoding.
-The search needs no walk over row subsets: each forbidden subset has a
-covering set, the dual words that meet it exactly once, and a candidate
-passes iff the words it leaves out hold no covering set.  One upward
-closure over the subsets of the dual words flags every failing
-candidate, and the passing ones are ranked in search order until one
-spans the dual.
+The search needs no walk over row subsets and no rank test per
+candidate: each forbidden subset has a covering set, the dual words that
+meet it exactly once, and each nonzero functional on the dual an odd
+set, the dual words it maps to 1.  A candidate passes and spans the dual
+iff the words it leaves out hold neither kind of set, so one upward
+closure over the subsets of the dual words flags every failing or
+rank-deficient candidate, and the first unflagged one in search order
+is the result.
 The dual words come from codes._dual_words, which is capped by
 gf2.ROW_SPACE_RANK_LIMIT on n-k; the search is also capped by
 SEARCH_MAX_DUAL_WORDS, checked from n-k before anything is listed.
@@ -25,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .codes import LinearCode, _dual_words, _enumeration_refusal
+from .codes import LinearCode, _dual_words, _enumeration_refusal, _span_blocks
 from .gf2 import (
     BitMatrix,
     indices_from_mask,
@@ -152,12 +154,23 @@ def minimal_matrix_search(
     the guard on n (n <= 28 by default) refuses every predicate, as the
     enumerators do.  For r rows the left-out words have m-r bits, and
     ascending left-out words give the r-subsets in lexicographic order.
-    The GF(2) rank runs only on passing candidates, in that order, from
-    n-k rows on; it is needed because a passing candidate may be
-    rank-deficient (for "s=d" this happens: its rows can cover every
-    small set without spanning the dual).  The 2**(n-k) - 1 nonzero dual
-    words are counted against SEARCH_MAX_DUAL_WORDS before any of them
-    is listed.
+
+    A passing candidate may still be rank-deficient (for "s=d" this
+    happens: its rows can cover every small set without spanning the
+    dual), so the closure also starts from the 2**(n-k) - 1 odd sets.
+    The odd set of a nonzero functional a on the dual holds the words x
+    with a.x = 1.  A candidate spans the dual iff it lies in no
+    hyperplane {x : a.x = 0}, that is iff it keeps a word of every odd
+    set, so it is deficient iff its left-out words hold an odd set, and
+    the closure flags exactly the failing and the deficient candidates.
+    parity_basis is in reduced row echelon form, so row t's pivot is its
+    lowest set bit and a word's coefficient on row t is its bit at that
+    pivot: a.x is the parity of x on the pivots of the rows a takes, and
+    the span of the pivot bits lists those pivot sets.  The result is
+    the first unflagged candidate of at least n-k rows, and one rank
+    check of it is the search's postcondition.  The 2**(n-k) - 1 nonzero
+    dual words are counted against SEARCH_MAX_DUAL_WORDS before any of
+    them is listed.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"predicate must be one of {PREDICATES}")
@@ -171,8 +184,8 @@ def minimal_matrix_search(
 
     n, m = code.n, len(duals)
     piece = min(n, 12)
-    low = np.arange(1 << piece, dtype=np.uint64)  # piece q holds the sets q * low.size + low
-    lows = np.bitwise_count(np.array(duals, np.uint64)[:, None] & low)  # [i, b]: |duals[i] & b|
+    low = np.arange(1 << piece, dtype=np.uint16)  # piece q holds the sets q * low.size + low
+    lows = np.bitwise_count(np.array([w % low.size for w in duals], np.uint16)[:, None] & low)  # [i, b]: |duals[i] & b|
     bits = np.arange(m - 1, -1, -1, dtype=np.uint16)[:, None]  # word i at bit m-1-i
     incorrigible = _incorrigible_flags(code) if predicate == "D=I" else None
     covering = np.zeros(1 << m, bool)  # [c]: c is a forbidden set's covering set
@@ -185,16 +198,21 @@ def minimal_matrix_search(
             covers = covers[~_unpack(incorrigible, piece, start)]
         covering[covers] = True
     covering[0] = False  # the uncovered sets: the empty set and the S* sets
+    pivots = np.concatenate(list(_span_blocks([row & -row for row in code.parity_basis.rows])))  # [a]: a's pivots
+    odd = (np.bitwise_count(np.array(duals, np.uint64)[:, None] & pivots) & 1) << bits  # [i, a]: a . duals[i] at bit m-1-i
+    covering[np.bitwise_or.reduce(odd, axis=0)[pivots != 0]] = True  # the odd sets of the nonzero a
     failing = _unpack(_upward_closure(_pack_subsets(covering), range(m)), m)
 
     order, starts = _by_popcount(m)
     limit = m if max_rows is None else min(max_rows, m)
     for r in range(n - code.k, limit + 1):
         left_out = order[starts[m - r] :][: math.comb(m, r)]  # the words with m-r bits, ascending
-        for left in left_out[~failing[left_out]].tolist():
+        if (passing := left_out[~failing[left_out]]).size:
+            left = int(passing[0])
             h = BitMatrix(tuple(w for i, w in enumerate(duals) if not left >> (m - 1 - i) & 1), n)
-            if rank(h) == n - code.k:
-                return h
+            if rank(h) != n - code.k:
+                raise AssertionError("search result lost rank")
+            return h
     return None
 
 

@@ -104,7 +104,9 @@ def _unpack(words: np.ndarray, n: int, start: int = 0) -> np.ndarray:
 
 def _pack_subsets(bits: np.ndarray) -> np.ndarray:
     """One bool per subset mask, 2**n of them -> packed flags; the inverse of _unpack."""
-    return _pack(np.pad(bits, (0, -bits.size % 64)).reshape(-1, 64))
+    if bits.size % 64:
+        bits = np.pad(bits, (0, -bits.size % 64))
+    return _pack(bits.reshape(-1, 64))
 
 
 def _pair_pass(ufunc: np.ufunc, target: np.ndarray, source: np.ndarray, j: int, half: int) -> None:

@@ -417,19 +417,10 @@ def _ranked_search(code, predicate, max_rows=None):
 
 
 def _check_search_case(code, predicate, max_rows):
-    nk = code.n - code.k
     found, ranked = _ranked_search(code, predicate, max_rows)
     assert _rows(found) == _rows(oracle_minimal_matrix_search(code, predicate, max_rows))
-    # rank runs only on passing candidates of at least n-k rows, in search
-    # order, up to the result
-    passing = []
-    for h in oracle_passing_candidates(code, predicate, max_rows):
-        if h.r < nk:
-            continue
-        passing.append(h.rows)
-        if rank(h) == nk:
-            break
-    assert ranked == passing
+    # rank runs once, on the result, as the search's postcondition
+    assert ranked == ([] if found is None else [found.rows])
 
 
 def _check_search(code):
@@ -468,6 +459,26 @@ def test_minimal_search_matches_oracle_shortened_hamming(n, predicate):
     cols = sorted(random.Random(n).sample(range(1, 16), n))
     h = BitMatrix(tuple(sum(1 << j for j, c in enumerate(cols) if c >> i & 1) for i in range(4)), n)
     _check_search_case(LinearCode.from_parity_check(h), predicate, None)
+
+
+@pytest.mark.parametrize(
+    "columns, max_rows, expected",
+    [
+        ([15, 8, 1, 0, 4], None, (1, 2, 4, 16)),
+        ([1, 11, 14, 3, 14], 4, (1, 2, 8, 20)),
+        ([6, 0, 3, 4], None, (1, 4, 8)),
+    ],
+)
+def test_minimal_search_skips_rank_deficient_candidates(columns, max_rows, expected):
+    # codes of d <= 2 whose first "s=d" candidates of n-k rows pass the
+    # predicate but do not span the dual, so only the odd sets skip them
+    nk = max(columns).bit_length()
+    h = BitMatrix(tuple(sum(1 << j for j, c in enumerate(columns) if c >> i & 1) for i in range(nk)), len(columns))
+    code = LinearCode.from_parity_check(h)
+    first = next(c for c in oracle_passing_candidates(code, "s=d", max_rows) if c.r == nk)
+    assert rank(first) < nk
+    _check_search_case(code, "s=d", max_rows)
+    assert minimal_matrix_search(code, "s=d", max_rows).rows == expected
 
 
 @pytest.mark.parametrize("make", [full_code, zero_code, repetition])
