@@ -133,15 +133,6 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, str, int]:
     return rep.to_json_obj(), "\n".join(lines), 0
 
 
-def _matrix_payload(h: BitMatrix) -> dict:
-    return {
-        "n": h.n,
-        "rows": h.r,
-        "rank": rank(h),
-        "matrix_text": format_matrix(h),
-    }
-
-
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict, str, int]:
     code = _load(args.code, LinearCode)
     extra: dict = {}
@@ -159,7 +150,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, str, int]:
         if h is None:
             return {"found": False}, "no matrix found", 0
         extra["found"] = True
-    out = {**_matrix_payload(h), **extra}
+    out = {"n": h.n, "rows": h.r, "rank": rank(h), "matrix_text": format_matrix(h), **extra}
     return out, out["matrix_text"], 0
 
 

@@ -277,22 +277,14 @@ def redundancy_bounds(
         raise ValueError(f"n-k={r} too large: bounds up to 2**{r} exceed the {digits}-digit integer output limit")
     notes: list[tuple[str, str]] = []
 
-    sv = None
-    if d is None:
-        notes.append(("sv_bound", "omitted: d not supplied"))
-    elif d < 2:
-        notes.append(("sv_bound", f"omitted: stated for d >= 3, got d={d}"))
+    sv = hs = None
+    if d is None or d < 2:
+        for name, stated in (("sv_bound", 3), ("hs_bound", 2)):
+            notes.append((name, "omitted: d not supplied" if d is None else f"omitted: stated for d >= {stated}, got d={d}"))
     else:
         sv = sum(_binomials(r, d - 2)) - 1  # sizes 1 .. d-2
         if d == 2:
             notes.append(("sv_bound", "empty sum: the formula's range starts at d >= 3"))
-
-    hs = None
-    if d is None:
-        notes.append(("hs_bound", "omitted: d not supplied"))
-    elif d < 2:
-        notes.append(("hs_bound", f"omitted: stated for d >= 2, got d={d}"))
-    else:
         # the odd sizes 1, 3, ..., 2*(d//2) - 1: ceil((d-1)/2) terms
         hs = sum(islice(_binomials(r, 2 * (d // 2) - 1), 1, None, 2))
 

@@ -8,7 +8,10 @@ six coordinates indexing the bit and the rest the word.  Only this
 module knows that layout; other modules pass flag arrays back to its
 functions (_count_flagged, _unpack, _histogram, _upward_closure) and never
 index the words.  construct's search packs its own flags, over the
-subsets of the dual words, with _pack_subsets.
+subsets of the dual words, with _pack_subsets.  _unpack's start rule (0,
+or a multiple of both 64 and 2**n) is part of that interface: the search
+reads the incorrigible flags through it one piece of at most 2**12
+subsets at a time.
 Flags are built a word at a time, closed upward over the subset lattice
 (an OR-zeta transform) and counted by size.  D(x) is the closure of the
 nonempty stopping sets, since a set's peel closure is the largest
@@ -52,7 +55,7 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 _LOW = np.arange(64)  # the low part b of subset 64q+b, i.e. its coordinates 0..5
 _HAS = _pack(_LOW >> np.arange(6)[:, None] & 1 == 1)  # [j]: the low parts holding coordinate j
-_OF_SIZE = _pack(np.bitwise_count(_LOW) == np.arange(7)[:, None])  # [k]: the low parts of size k
+_UP_TO = _pack(np.bitwise_count(_LOW) <= np.arange(7)[:, None])  # [k]: the low parts of size at most k
 _MEETS = np.bitwise_count(_LOW[:, None] & _LOW)  # [t, b]: |t & b|
 # [t, c]: the low parts b with |t & b| + c != 1, for c = 0, 1 and c >= 2
 _MISSES = np.stack([_pack(_MEETS != 1), _pack(_MEETS != 0), np.full(64, ~np.uint64(0))], axis=1)
@@ -182,7 +185,6 @@ def _histogram(words: np.ndarray, n: int) -> Enumerator:
     low = min(n, 6)
     size = min(words.size, _SLAB_WORDS)
     order, starts = _by_popcount(size.bit_length() - 1)
-    up_to = np.bitwise_or.accumulate(_OF_SIZE)  # [k]: the low parts of size at most k
     gathered = np.empty(size, np.uint64)
     counts = np.empty(size, np.uint8)
     grouped = np.empty((low + 1, starts.size), np.min_scalar_type(64 * size))  # [k, p]
@@ -192,7 +194,7 @@ def _histogram(words: np.ndarray, n: int) -> Enumerator:
         for k in range(low, -1, -1):
             np.add.reduceat(np.bitwise_count(gathered, out=counts), starts, dtype=grouped.dtype, out=grouped[k])
             if k:
-                gathered &= up_to[k - 1]
+                gathered &= _UP_TO[k - 1]
         grouped[1:] -= grouped[:-1]  # size at most k -> size k
         sums[q.bit_count() :][: low + 1] += grouped
     poly = [0] * (n + 1)

@@ -250,7 +250,9 @@ def test_minimal_search_refuses_before_listing_dual_words(monkeypatch):
     def listed(rows):
         raise AssertionError("dual words listed before the search guard")
 
-    monkeypatch.setattr("stopset.codes._span_blocks", listed)
+    # codes lists the dual words and construct the pivot sets, each through its own _span_blocks
+    for module in ("stopset.codes", "stopset.construct"):
+        monkeypatch.setattr(f"{module}._span_blocks", listed)
     code = LinearCode.from_parity_check(BitMatrix(tuple(1 << i for i in range(5)), 10))
     with pytest.raises(ValueError, match="31 nonzero dual words exceed search guard 20"):
         minimal_matrix_search(code, "D=I")

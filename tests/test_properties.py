@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 from stopset.codes import _SPAN_BLOCK_BITS, Enumerator, LinearCode, full_code, hamming_7_4, repetition, rm_8_4_4, zero_code
 from stopset.construct import PREDICATES, SEARCH_MAX_DUAL_WORDS, complete_matrix, minimal_matrix_search
 from stopset.decoder import is_parity_check_of
-from stopset.gf2 import BitMatrix, permute_columns, rank, row_space_iter, select_columns
+from stopset.gf2 import BitMatrix, permute_columns, rank, row_space_iter, select_columns, syndrome, transpose
 from stopset.stopsets import (
     _HAS,
-    _OF_SIZE,
     _SLAB_WORDS,
     _histogram,
     _incorrigible_flags,
@@ -56,6 +55,7 @@ from conftest import (
     oracle_weight_enumerator,
     poly_multiply,
     random_code,
+    random_code_where,
     random_dual_spanning_matrix,
     random_parity_matrix,
 )
@@ -134,7 +134,8 @@ def test_kernels_do_not_depend_on_the_slab_size(n, k, seed, extra_rows):
 def _fold_histogram(words, n):
     # the whole-array histogram the slab histogram replaced, kept as the reference
     low = min(n, 6)
-    poly = np.stack([np.bitwise_count(words & m) for m in _OF_SIZE[: low + 1]])
+    of_size = [np.uint64(sum(1 << b for b in range(64) if b.bit_count() == k)) for k in range(low + 1)]
+    poly = np.stack([np.bitwise_count(words & m) for m in of_size])
     for covered in range(low + 1, n + 1):
         half = poly.reshape(poly.shape[0], 2, -1)
         poly = np.zeros((covered + 1, half.shape[2]), np.min_scalar_type(math.comb(covered, covered // 2)))
@@ -206,6 +207,51 @@ def test_direct_sum_identities_across_slabs(n1, n2, seed):
     star, star1, star2 = optimal_enumerators(code), optimal_enumerators(code1), optimal_enumerators(code2)
     assert star.stopping == poly_multiply(star1.stopping, star2.stopping)
     assert _complement(star.dead_end) == i
+
+
+def _full_redundancy_code(n, redundancy):
+    return random_code_where(random.Random(n), [n], [redundancy], lambda c: c.n - c.k == redundancy)
+
+
+@pytest.mark.parametrize("n, redundancy", [(24, 6), (26, 5)])
+def test_optimal_matches_complete_matrix_across_slabs(n, redundancy):
+    # two independent kernels with the real _SLAB_WORDS: the S* recursion
+    # against the stopping-flag pass over all 2**(n-k) dual words as rows
+    code = _full_redundancy_code(n, redundancy)
+    assert 1 << (n - 6) > _SLAB_WORDS  # more than one slab
+    star, complete = optimal_enumerators(code), profile(complete_matrix(code))
+    assert star.stopping == complete.stopping
+    assert star.dead_end == complete.dead_end == incorrigible_enumerator(code)
+
+
+def _at_most(e, f):
+    return all(a <= b for a, b in zip(e.coefficients, f.coefficients, strict=True))
+
+
+def test_more_dual_rows_never_raise_s_or_d_across_slabs():
+    # every stopping set of H plus rows is stopping for H, and every
+    # incorrigible set is a dead end for any parity-check matrix
+    code = _full_redundancy_code(24, 6)
+    basis, more = profile(code.parity_basis), profile(random_dual_spanning_matrix(random.Random(1), code, 6))
+    assert _at_most(more.stopping, basis.stopping) and _at_most(more.dead_end, basis.dead_end)
+    i = incorrigible_enumerator(code)
+    assert _at_most(i, more.dead_end) and _at_most(i, basis.dead_end)
+
+
+def test_hamming_stopping_enumerator_is_the_same_for_every_full_rank_matrix():
+    # Abdel-Ghaffar and Weber, IEEE Trans. IT 2007: every full-rank
+    # parity-check matrix of a Hamming code has the same S(x); here the
+    # [15,11] code's basis under 20 random invertible row transforms
+    columns = BitMatrix(tuple(range(1, 16)), 4)  # column j of H holds j
+    h = transpose(columns)
+    s = stopping_set_enumerator(h)
+    rng = random.Random(15)
+    for _ in range(20):
+        while rank(t := BitMatrix(tuple(rng.randrange(16) for _ in range(4)), 4)) < 4:
+            pass
+        g = BitMatrix(tuple(syndrome(columns, a) for a in t.rows), 15)  # row i: the rows of H that t.rows[i] selects
+        assert rank(g) == 4
+        assert stopping_set_enumerator(g) == s
 
 
 @PROPERTY
